@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .model import (
+    END_KINDS,
     BinaryGridDiagram,
-    Col,
     EndKind,
     LeveledDiagram,
     PortionType,
@@ -23,6 +23,9 @@ from .model import (
     Row,
     Shape,
     check_bgd,
+    column_values,
+    end_columns,
+    map_columns,
 )
 
 __all__ = [
@@ -218,30 +221,8 @@ def build_bgd(leveled: LeveledDiagram) -> BinaryGridDiagram:
 
 def compress_columns(g: BinaryGridDiagram) -> BinaryGridDiagram:
     """Renumber columns to 1..m preserving their order."""
-    values = set()
-    for r in g.rows:
-        values.update(r.extent)
-        values.update(r.columns_below)
-        values.update(r.columns_above)
-        if r.crossed_column is not None:
-            values.add(r.crossed_column)
-    rank = {v: i + 1 for i, v in enumerate(sorted(values))}
-
-    def m(c: Col) -> int:
-        return rank[c]
-
-    rows = tuple(
-        Row(
-            r.shape,
-            (m(r.extent[0]), m(r.extent[1])),
-            r.end_kinds,
-            None if r.crossed_column is None else m(r.crossed_column),
-            tuple(m(c) for c in r.columns_below),
-            tuple(m(c) for c in r.columns_above),
-        )
-        for r in g.rows
-    )
-    return BinaryGridDiagram(rows)
+    rank = {v: i + 1 for i, v in enumerate(sorted(column_values(g.rows)))}
+    return BinaryGridDiagram(tuple(map_columns(r, rank.__getitem__) for r in g.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -295,23 +276,11 @@ def parse_bgd(text: str) -> BinaryGridDiagram:
                     f"line {lineno}: elbow end is ambiguous on a TRANS row")
             kinds[i] = "up" if shape is Shape.MIN else "down"
         end_kinds = (EndKind(kinds[0]), EndKind(kinds[1]))
-        legal = {
-            Shape.MIN: [(EndKind.UP, EndKind.UP)],
-            Shape.MAX: [(EndKind.DOWN, EndKind.DOWN)],
-            Shape.TRANS: [(EndKind.DOWN, EndKind.UP), (EndKind.UP, EndKind.DOWN)],
-        }[shape]
-        if end_kinds not in legal:
+        if end_kinds not in END_KINDS[shape]:
             raise BgdFormatError(
                 f"line {lineno}: ends {tuple(kinds)} illegal for {shape.value}")
 
-        if shape is Shape.MIN:
-            consumed, created = (), (lo, hi)
-        elif shape is Shape.MAX:
-            consumed, created = (lo, hi), ()
-        else:
-            src = lo if end_kinds[0] is EndKind.DOWN else hi
-            dst = hi if end_kinds[0] is EndKind.DOWN else lo
-            consumed, created = (src,), (dst,)
+        consumed, created = end_columns(shape, (lo, hi), end_kinds)
         for c in consumed:
             if c not in active:
                 raise BgdFormatError(f"line {lineno}: column {c} is not open")

@@ -28,12 +28,12 @@ from .invariants import bgd_to_pd
 from .model import (
     BinaryGridDiagram,
     Col,
-    EndKind,
     PlanarDiagram,
     RibbonfoldError,
     Row,
     Shape,
     check_bgd,
+    make_row,
 )
 from .rewrite import is_normal_form
 
@@ -474,16 +474,6 @@ def emit_svg(s: FoldSchedule, config: Optional[LayoutConfig] = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _grid_row(shape: Shape, lo: Col, hi: Col, crossed: Optional[Col],
-              below: Sequence[Col], above: Sequence[Col]) -> Row:
-    kinds = {
-        Shape.MIN: (EndKind.UP, EndKind.UP),
-        Shape.MAX: (EndKind.DOWN, EndKind.DOWN),
-    }[shape]
-    return Row(shape, (lo, hi), kinds, crossed,
-               tuple(sorted(below)), tuple(sorted(above)))
-
-
 def core_diagram(s: FoldSchedule) -> PlanarDiagram:
     """Read the crossing structure off the pile's core.
 
@@ -496,12 +486,12 @@ def core_diagram(s: FoldSchedule) -> PlanarDiagram:
     for p in s.planes:
         lo, hi = p.insertion
         above = tuple(sorted(open_cols + (lo, hi)))
-        rows.append(_grid_row(Shape.MIN, lo, hi, p.crossed_wing, open_cols, above))
+        rows.append(make_row(Shape.MIN, lo, hi, p.crossed_wing, open_cols, above))
         open_cols = above
     for c in s.caps:
         a, b = c.join
         above = tuple(v for v in open_cols if v != a and v != b)
-        rows.append(_grid_row(Shape.MAX, a, b, None, open_cols, above))
+        rows.append(make_row(Shape.MAX, a, b, None, open_cols, above))
         open_cols = above
     return bgd_to_pd(BinaryGridDiagram(tuple(rows)))
 

@@ -20,9 +20,9 @@ All types are immutable value objects; transformations return new values.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 Col = Union[int, Fraction]
 
@@ -354,6 +354,56 @@ class Row:
         return self.shape.delta
 
 
+# the legal (left, right) end kinds of each shape
+END_KINDS: Dict[Shape, Tuple[Tuple[EndKind, EndKind], ...]] = {
+    Shape.MIN: ((EndKind.UP, EndKind.UP),),
+    Shape.MAX: ((EndKind.DOWN, EndKind.DOWN),),
+    Shape.TRANS: ((EndKind.DOWN, EndKind.UP), (EndKind.UP, EndKind.DOWN)),
+}
+
+
+def make_row(shape: Shape, lo: Col, hi: Col, crossed: Optional[Col],
+             below: Sequence[Col], above: Sequence[Col]) -> Row:
+    """A cup (MIN) or cap (MAX) row over [lo, hi]; column lists are sorted."""
+    (kinds,) = END_KINDS[shape]
+    return Row(shape, (lo, hi), kinds, crossed, tuple(sorted(below)), tuple(sorted(above)))
+
+
+def end_columns(shape: Shape, extent: Tuple[Col, Col], end_kinds: Tuple[EndKind, EndKind]
+                ) -> Tuple[Tuple[Col, ...], Tuple[Col, ...]]:
+    """The columns a row's ends consume from below and create above."""
+    a, b = extent
+    if shape is Shape.MIN:
+        return (), (a, b)
+    if shape is Shape.MAX:
+        return (a, b), ()
+    return ((a,), (b,)) if end_kinds[0] is EndKind.DOWN else ((b,), (a,))
+
+
+def map_columns(r: Row, f: Callable[[Col], Col]) -> Row:
+    """``r`` with each column v replaced by f(v); f must keep each list's order."""
+    return Row(
+        r.shape,
+        (f(r.extent[0]), f(r.extent[1])),
+        r.end_kinds,
+        None if r.crossed_column is None else f(r.crossed_column),
+        tuple(map(f, r.columns_below)),
+        tuple(map(f, r.columns_above)),
+    )
+
+
+def column_values(rows: Iterable[Row]) -> Set[Col]:
+    """Every column value that the rows mention."""
+    out: Set[Col] = set()
+    for r in rows:
+        out.update(r.extent)
+        out.update(r.columns_below)
+        out.update(r.columns_above)
+        if r.crossed_column is not None:
+            out.add(r.crossed_column)
+    return out
+
+
 def check_row(row: Row) -> List[str]:
     """Structural problems with a single row (empty list if none)."""
     problems: List[str] = []
@@ -370,28 +420,14 @@ def check_row(row: Row) -> List[str]:
             f"strand delta {len(hi) - len(lo)} does not match shape {row.shape.value}"
         )
 
-    expected_kinds = {
-        Shape.MIN: [(EndKind.UP, EndKind.UP)],
-        Shape.MAX: [(EndKind.DOWN, EndKind.DOWN)],
-        Shape.TRANS: [(EndKind.DOWN, EndKind.UP), (EndKind.UP, EndKind.DOWN)],
-    }[row.shape]
-    if row.end_kinds not in expected_kinds:
+    if row.end_kinds not in END_KINDS[row.shape]:
         problems.append(
             f"end kinds {tuple(k.value for k in row.end_kinds)} illegal for {row.shape.value}"
         )
         return problems
 
     s_lo, s_hi = set(lo), set(hi)
-    if row.shape is Shape.MIN:
-        consumed: Tuple[Col, ...] = ()
-        created: Tuple[Col, ...] = (a, b)
-    elif row.shape is Shape.MAX:
-        consumed, created = (a, b), ()
-    else:
-        if row.end_kinds[0] is EndKind.DOWN:
-            consumed, created = (a,), (b,)
-        else:
-            consumed, created = (b,), (a,)
+    consumed, created = end_columns(row.shape, row.extent, row.end_kinds)
     for c in consumed:
         if c not in s_lo:
             problems.append(f"consumed column {c} absent below")
@@ -437,25 +473,43 @@ class BinaryGridDiagram:
         return out
 
 
-def check_bgd(g: BinaryGridDiagram) -> List[str]:
-    """Structural problems with a grid diagram (empty list if none)."""
+def check_bgd(
+    g: BinaryGridDiagram, prev: Optional[BinaryGridDiagram] = None
+) -> List[str]:
+    """Structural problems with a grid diagram (empty list if none).
+
+    With ``prev``, a valid grid that ``g`` was derived from, rows shared
+    with it (the same objects at the same offset from either end) are
+    skipped: only the rows between, their two seams and any zero-strand
+    end they reach are checked. That is as strict as the full check.
+    """
     problems: List[str] = []
     rows = g.rows
     if not rows:
         return problems
-    if rows[0].columns_below:
+    lo, hi = 0, len(rows)  # the rows to check are rows[lo:hi]
+    if prev is not None:
+        old = prev.rows
+        shift = len(old) - len(rows)
+        while lo < min(hi, len(old)) and rows[lo] is old[lo]:
+            lo += 1
+        while hi > max(lo, lo - shift) and rows[hi - 1] is old[hi - 1 + shift]:
+            hi -= 1
+    if lo == 0 and rows[0].columns_below:
         problems.append("diagram does not start with zero strands")
-    if rows[-1].columns_above:
+    if hi == len(rows) and rows[-1].columns_above:
         problems.append("diagram does not end with zero strands")
-    for i, r in enumerate(rows):
-        for p in check_row(r):
-            problems.append(f"row {i}: {p}")
-        if i + 1 < len(rows) and r.columns_above != rows[i + 1].columns_below:
+    for i in range(max(lo - 1, 0), hi):
+        if i >= lo:
+            for p in check_row(rows[i]):
+                problems.append(f"row {i}: {p}")
+        if i + 1 < len(rows) and rows[i].columns_above != rows[i + 1].columns_below:
             problems.append(f"rows {i}/{i + 1}: column lists disagree")
-    n_min = sum(1 for r in rows if r.shape is Shape.MIN)
-    n_max = sum(1 for r in rows if r.shape is Shape.MAX)
-    if n_min != n_max:
-        problems.append(f"{n_min} min rows vs {n_max} max rows")
+    if prev is None:
+        n_min = sum(1 for r in rows if r.shape is Shape.MIN)
+        n_max = sum(1 for r in rows if r.shape is Shape.MAX)
+        if n_min != n_max:
+            problems.append(f"{n_min} min rows vs {n_max} max rows")
     return problems
 
 

@@ -6,6 +6,10 @@ sideways or crossed-cap row by cup-and-cap pairs, and ``switch_adjacent``
 floats a plain cap above a cup born just over it, re-routing the cup's
 legs through safe gaps when the two interfere. Every move is a planar
 isotopy of the presented link.
+
+Moves are validated locally: ``check_bgd`` checks only the rows a move
+changed, against the move's valid input grid. ``normalize`` runs the
+full check on its input and on its output.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ from .model import (
     Row,
     Shape,
     check_bgd,
+    column_values,
+    make_row,
+    map_columns,
 )
 
 __all__ = [
@@ -61,17 +68,6 @@ def is_normal_form(g: BinaryGridDiagram) -> bool:
     return True
 
 
-def _values(rows: Sequence[Row]) -> Set[Col]:
-    out: Set[Col] = set()
-    for r in rows:
-        out.update(r.extent)
-        out.update(r.columns_below)
-        out.update(r.columns_above)
-        if r.crossed_column is not None:
-            out.add(r.crossed_column)
-    return out
-
-
 def _fresh(lo: Col, hi: Col, used: Set[Col]) -> Fraction:
     """A deterministic unused value strictly between lo and hi."""
     x = Fraction(lo + hi, 2)
@@ -80,20 +76,15 @@ def _fresh(lo: Col, hi: Col, used: Set[Col]) -> Fraction:
     return x
 
 
-def _row(shape: Shape, lo: Col, hi: Col, crossed: Optional[Col],
-         below: Sequence[Col], above: Sequence[Col]) -> Row:
-    kinds = {
-        Shape.MIN: (EndKind.UP, EndKind.UP),
-        Shape.MAX: (EndKind.DOWN, EndKind.DOWN),
-    }[shape]
-    return Row(shape, (lo, hi), kinds, crossed, tuple(sorted(below)), tuple(sorted(above)))
-
-
-def _checked(rows: List[Row]) -> BinaryGridDiagram:
-    g = BinaryGridDiagram(tuple(rows))
-    problems = check_bgd(g)
+def _require(problems: List[str], what: str) -> None:
     if problems:
-        raise RewriteError("rewrite broke the grid: " + "; ".join(problems))
+        raise RewriteError(f"{what}: " + "; ".join(problems))
+
+
+def _checked(rows: List[Row], prev: BinaryGridDiagram) -> BinaryGridDiagram:
+    """The grid of ``rows``, checked where it differs from the valid ``prev``."""
+    g = BinaryGridDiagram(tuple(rows))
+    _require(check_bgd(g, prev), "rewrite broke the grid")
     return g
 
 
@@ -103,7 +94,8 @@ def convert_block(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
     A sideways move becomes a fresh cup plus a cap swallowing the old
     strand; a crossed cap becomes a fresh cup over the same vertical
     plus two plain caps. The strand emerging above keeps its column, so
-    rows above row i are untouched.
+    rows above row i are untouched. ``g`` must be a valid grid: the
+    result is checked only where it differs from ``g``.
     """
     if not 0 <= i < len(g.rows):
         raise IndexError(f"row {i} out of range")
@@ -112,7 +104,7 @@ def convert_block(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
     if name not in ("B2", "B2r", "B3"):
         raise NotConvertible(f"row {i} is {name}; only B2, B2r and B3 convert")
 
-    used = _values(g.rows)
+    used = column_values(g.rows)
     s = r.columns_below
     rows = list(g.rows)
 
@@ -128,8 +120,8 @@ def convert_block(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
         else:
             p = _fresh(x, src, used)
         mid = sorted(s + (p, dst))
-        cup = _row(Shape.MIN, min(p, dst), max(p, dst), x, s, mid)
-        cap = _row(Shape.MAX, min(src, p), max(src, p), None, mid, r.columns_above)
+        cup = make_row(Shape.MIN, min(p, dst), max(p, dst), x, s, mid)
+        cap = make_row(Shape.MAX, min(src, p), max(src, p), None, mid, r.columns_above)
         rows[i:i + 1] = [cup, cap]
     else:
         a, b = r.extent
@@ -138,12 +130,12 @@ def convert_block(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
         q = _fresh(x, b, used | {p})
         mid1 = sorted(s + (p, q))
         mid2 = sorted(set(mid1) - {a, p})
-        cup = _row(Shape.MIN, p, q, x, s, mid1)
-        cap1 = _row(Shape.MAX, a, p, None, mid1, mid2)
-        cap2 = _row(Shape.MAX, q, b, None, mid2, r.columns_above)
+        cup = make_row(Shape.MIN, p, q, x, s, mid1)
+        cap1 = make_row(Shape.MAX, a, p, None, mid1, mid2)
+        cap2 = make_row(Shape.MAX, q, b, None, mid2, r.columns_above)
         rows[i:i + 1] = [cup, cap1, cap2]
 
-    return _checked(rows)
+    return _checked(rows, g)
 
 
 _CASCADE_DEPTH = 24
@@ -164,23 +156,6 @@ def _alive(rows: Sequence[Row], j: int, v: Col) -> Tuple[int, int]:
     return a, e
 
 
-def _sub_col(r: Row, old: Col, new: Col) -> Row:
-    def sub(c: Col) -> Col:
-        return new if c == old else c
-
-    lo, hi = sub(r.extent[0]), sub(r.extent[1])
-    if lo > hi:
-        lo, hi = hi, lo
-    return Row(
-        r.shape,
-        (lo, hi),
-        r.end_kinds,
-        None if r.crossed_column is None else sub(r.crossed_column),
-        tuple(sorted(sub(c) for c in r.columns_below)),
-        tuple(sorted(sub(c) for c in r.columns_above)),
-    )
-
-
 def _rename_span(rows: List[Row], j: int, old: Col, new: Col) -> None:
     """Move the open column ``old`` to value ``new`` over its lifetime.
 
@@ -197,8 +172,13 @@ def _rename_span(rows: List[Row], j: int, old: Col, new: Col) -> None:
             if v == new or (v != old and lo < v < hi):
                 raise NotSwitchable(
                     f"column {old} is pinned by {v} and cannot move to {new}")
+
+    # nothing sits between old and new, so every column list stays sorted
+    def sub(c: Col) -> Col:
+        return new if c == old else c
+
     for k in range(a - 1, e + 1):
-        rows[k] = _sub_col(rows[k], old, new)
+        rows[k] = map_columns(rows[k], sub)
 
 
 def _fresh_near(lo: Col, hi: Col, used: Set[Col], near_hi: bool) -> Fraction:
@@ -299,7 +279,8 @@ def switch_adjacent(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
     to the gap on the left). When the cup's legs are pinned by strands
     above, the cap's own strands slide sideways out of the cup's span
     instead. Raises NotSwitchable when every re-route would drag some
-    column across a live strand.
+    column across a live strand. ``g`` must be a valid grid: the result
+    is checked only where it differs from ``g``.
     """
     if not 0 <= i < len(g.rows) - 1:
         raise IndexError(f"no adjacent pair at row {i}")
@@ -320,10 +301,10 @@ def switch_adjacent(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
 
     if l2 < m1 or m2 < l1:
         mid = sorted(s + (m1, m2))
-        rows[i] = _row(Shape.MIN, m1, m2, high.crossed_column, s, mid)
-        rows[i + 1] = _row(Shape.MAX, l1, l2, None,
-                           mid, sorted(set(mid) - {l1, l2}))
-        return _checked(rows)
+        rows[i] = make_row(Shape.MIN, m1, m2, high.crossed_column, s, mid)
+        rows[i + 1] = make_row(Shape.MAX, l1, l2, None,
+                               mid, sorted(set(mid) - {l1, l2}))
+        return _checked(rows, g)
 
     c = high.crossed_column
     pred_c = max((v for v in s if c is not None and v < c), default=None)
@@ -347,7 +328,7 @@ def switch_adjacent(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
     last_err: Optional[NotSwitchable] = None
     for plan in plans:
         cand = list(g.rows)
-        used = _values(g.rows)
+        used = column_values(g.rows)
         legs = (m1, m2)
         ends = (l1, l2)
         keep = set(s)
@@ -402,10 +383,10 @@ def switch_adjacent(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
             continue
         s2 = cand[i].columns_below
         mid = sorted(s2 + legs)
-        cand[i] = _row(Shape.MIN, legs[0], legs[1], c, s2, mid)
-        cand[i + 1] = _row(Shape.MAX, ends[0], ends[1], None,
-                           mid, sorted(set(mid) - set(ends)))
-        return _checked(cand)
+        cand[i] = make_row(Shape.MIN, legs[0], legs[1], c, s2, mid)
+        cand[i + 1] = make_row(Shape.MAX, ends[0], ends[1], None,
+                               mid, sorted(set(mid) - set(ends)))
+        return _checked(cand, g)
     assert last_err is not None
     raise last_err
 
@@ -419,8 +400,10 @@ def normalize(
     First converts every sideways and crossed-cap row bottom to top,
     then bubbles the plain caps above the cups. The counted blocks
     (everything except plain caps) are conserved, so afterwards
-    B1 + B1r equals the old B1 + B2 + B3 + B1r + B2r.
+    B1 + B1r equals the old B1 + B2 + B3 + B1r + B2r. The input and the
+    result each get one full ``check_bgd``; RewriteError if either fails.
     """
+    _require(check_bgd(g), "normalize was given an invalid grid")
     i = 0
     while i < len(g.rows):
         name = g.rows[i].block_type.name
@@ -451,6 +434,7 @@ def normalize(
         if not progressed:
             raise RewriteError("no cap can move; normalization is stuck")
 
+    _require(check_bgd(g), "normalization produced an invalid grid")
     if not is_normal_form(g):
         raise RewriteError("normalization finished off normal form")
     return g

@@ -39,6 +39,7 @@ from ribbonfold.leveling import (
 from ribbonfold.model import check_bgd
 from ribbonfold.rewrite import is_normal_form, normalize
 
+from ladder import ladder
 from randgrids import iter_readable_grids
 
 TREFOIL = "X(4,2,5,1) X(2,6,3,5) X(6,4,1,3)"
@@ -126,6 +127,18 @@ def test_worked_small_cases():
     assert fig8.certified_bound == 10
     assert fig8.theoretical_linear == 11
     assert theoretical_bound(6) == (16, Fraction(16))
+
+
+def test_braid_ladder_above_benchmark_range():
+    # the closure of (s1 s2)^20 reaches a valid normal form with the
+    # counted blocks conserved
+    res = run_pipeline(ladder(40))
+    assert res.grid.crossing_number == 40
+    assert is_normal_form(res.normal)
+    assert check_bgd(res.normal) == []
+    m0, m1 = res.grid.block_multiset(), res.normal.block_multiset()
+    assert m1["B1"] + m1["B1r"] == _counted(m0)
+    assert m1["B2"] == m1["B2r"] == m1["B3"] == 0
 
 
 def test_jones_preserved_at_every_stage(corpus):

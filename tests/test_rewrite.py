@@ -1,6 +1,7 @@
 """Grid rewriting to normal form."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,10 +9,11 @@ from ribbonfold.expand import build_bgd
 from ribbonfold.ingest import bundled_table
 from ribbonfold.invariants import bgd_to_pd, jones_fingerprint
 from ribbonfold.leveling import find_leveling, optimize_flips
-from ribbonfold.model import check_bgd
+from ribbonfold.model import BinaryGridDiagram, check_bgd
 from ribbonfold.rewrite import (
     NotConvertible,
     NotSwitchable,
+    RewriteError,
     convert_block,
     is_normal_form,
     normalize,
@@ -19,6 +21,7 @@ from ribbonfold.rewrite import (
 )
 
 from grids import build
+from ladder import ladder
 from randgrids import iter_readable_grids, make_random_grid
 
 
@@ -176,3 +179,67 @@ def test_random_generator_is_deterministic():
     a = make_random_grid(random.Random(7))
     b = make_random_grid(random.Random(7))
     assert a == b
+
+
+def _grids_with_steps():
+    """(name, grid) for the corpus, seeded random grids and the ladder."""
+    for entry in bundled_table():
+        yield entry.name, build_bgd(optimize_flips(find_leveling(entry.diagram))[0])
+    for seed, g in iter_readable_grids(30):
+        yield f"seed {seed}", g
+    for c in range(8, 21, 2):
+        yield f"ladder c={c}", build_bgd(optimize_flips(find_leveling(ladder(c)))[0])
+
+
+def test_windowed_check_agrees_with_full_check():
+    # every intermediate grid passes both the check against the step
+    # before it and the full check
+    for name, g in _grids_with_steps():
+        trace = []
+        normalize(g, trace)
+        prev = g
+        for desc, step in trace:
+            assert check_bgd(step, prev) == [], (name, desc)
+            assert check_bgd(step) == [], (name, desc)
+            prev = step
+
+
+def test_windowed_check_catches_corrupt_row():
+    g = convert_block(CLASP, 2)
+    assert check_bgd(g, g) == []
+    # a row corrupted inside the window a move changed
+    rows = list(g.rows)
+    rows[2] = replace(rows[2], crossed_column=None)
+    bad = BinaryGridDiagram(tuple(rows))
+    assert any(p.startswith("row 2:") for p in check_bgd(bad, CLASP))
+    assert any(p.startswith("row 2:") for p in check_bgd(bad, g))
+
+
+def test_windowed_check_catches_both_seams():
+    g = build([("MIN", 1, 2), ("MIN", 3, 4), ("MAX", 3, 4), ("MAX", 1, 2)])
+    # changed row 1 is valid on its own but its top disagrees with row 2
+    rows = list(g.rows)
+    rows[1] = build([("MIN", 1, 2), ("MIN", 5, 6)]).rows[1]
+    assert check_bgd(BinaryGridDiagram(tuple(rows)), g) == [
+        "rows 1/2: column lists disagree"]
+    # changed row 2 is valid on its own but its bottom disagrees with row 1
+    rows = list(g.rows)
+    rows[2] = build([("MIN", 1, 2), ("MIN", 5, 6), ("MAX", 5, 6)]).rows[2]
+    assert check_bgd(BinaryGridDiagram(tuple(rows)), g) == [
+        "rows 1/2: column lists disagree"]
+    # a dropped row leaves only a seam to check
+    dropped = BinaryGridDiagram(g.rows[:1] + g.rows[2:])
+    assert check_bgd(dropped, g) == ["rows 0/1: column lists disagree"]
+    # dropping the bottom row exposes the zero-strand condition
+    assert "diagram does not start with zero strands" in check_bgd(
+        BinaryGridDiagram(g.rows[1:]), g)
+
+
+def test_normalize_rejects_invalid_input():
+    g = build([("MIN", 1, 2), ("MIN", 3, 4), ("MAX", 3, 4), ("MAX", 1, 2)])
+    with pytest.raises(RewriteError, match="invalid grid"):
+        normalize(BinaryGridDiagram(g.rows[:3]))
+    rows = list(KINK.rows)
+    rows[1] = replace(rows[1], crossed_column=None)
+    with pytest.raises(RewriteError, match="invalid grid"):
+        normalize(BinaryGridDiagram(tuple(rows)))
