@@ -1,9 +1,11 @@
 """Independent knot-type oracle.
 
-Computes the Kauffman bracket by brute-force state sum, a deterministic
-orientation and writhe, and the writhe-normalized bracket (the Jones
-polynomial in the variable A). Every pipeline stage is checked against
-these values, so nothing here may depend on the pipeline modules.
+Computes the Kauffman bracket by a frontier sweep over the crossings
+(cost exponential in the number of open edges, not in the crossing
+count), a deterministic orientation and writhe, and the writhe-normalized
+bracket (the Jones polynomial in the variable A). Every pipeline stage is
+checked against these values, so nothing here may depend on the pipeline
+modules.
 
 Conventions (all verified against hand-computed state sums):
 
@@ -39,11 +41,11 @@ from .model import (
 
 D_POLY = LaurentPoly({2: -1, -2: -1})  # value of a disjoint unknotted loop
 
-DEFAULT_CAP = 14
+DEFAULT_CAP = 20  # open edges in the sweep frontier
 
 
 class TooLarge(RibbonfoldError):
-    """State sum would exceed the configured crossing cap."""
+    """The sweep frontier would exceed the configured width cap."""
 
 
 class _UnionFind:
@@ -118,32 +120,104 @@ def writhe(d: PlanarDiagram) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _state_loops(d: PlanarDiagram, state: int) -> int:
-    """Closed loops after smoothing every crossing (bit=0: A, bit=1: B)."""
-    uf = _UnionFind()
-    for ci, x in enumerate(d.crossings):
-        step = 3 if not (state >> ci) & 1 else 1
-        for o in x.over_slots():
-            uf.union((ci, o), (ci, (o + step) % 4))
-    for uses in d.incidences().values():
-        uf.union(uses[0], uses[1])
-    roots = {uf.find((ci, s)) for ci in range(len(d.crossings)) for s in range(4)}
-    return len(roots)
+def _dart_mates(d: PlanarDiagram) -> Dict[int, int]:
+    """Dart 4*ci+slot -> the dart at the other end of the same edge."""
+    mate: Dict[int, int] = {}
+    for e, uses in d.incidences().items():
+        if len(uses) != 2:
+            raise ValueError(f"edge {e} has {len(uses)} ends (need 2)")
+        (ca, sa), (cb, sb) = uses
+        a, b = 4 * ca + sa, 4 * cb + sb
+        mate[a], mate[b] = b, a
+    return mate
+
+
+def _sweep_plan(n: int, mate: Dict[int, int], cap: int) -> List[Tuple[int, List[int]]]:
+    """Crossing order with the sorted frontier (open darts) after each step.
+
+    Greedy: next comes the crossing that closes the most open edges, ties
+    to the lowest index. Raises TooLarge before any state is built if a
+    frontier would hold more than ``cap`` open edges.
+    """
+    done = [False] * n
+    frontier: set = set()
+    plan = []
+    for _ in range(n):
+        ci = max(
+            (c for c in range(n) if not done[c]),
+            key=lambda c: (sum(done[mate[4 * c + s] >> 2] for s in range(4)), -c),
+        )
+        done[ci] = True
+        for dart in range(4 * ci, 4 * ci + 4):
+            m = mate[dart]
+            if m >> 2 != ci:
+                if done[m >> 2]:
+                    frontier.discard(m)
+                else:
+                    frontier.add(dart)
+        if len(frontier) > cap:
+            raise TooLarge(
+                f"sweep frontier of {len(frontier)} open edges exceeds cap {cap}"
+            )
+        plan.append((ci, sorted(frontier)))
+    return plan
 
 
 def kauffman_bracket(d: PlanarDiagram, cap: int = DEFAULT_CAP) -> LaurentPoly:
-    """Brute-force 2^c state sum. Raises TooLarge above the cap."""
+    """Frontier sweep over the crossings. Raises TooLarge above the cap.
+
+    A state is a pairing of the open darts (the processed crossings' ends
+    whose edges lead to unprocessed ones), mapped to its weights
+    {(A-exponent, closed loops): count}. Each crossing is smoothed both
+    ways, its darts are glued to the pairing, loops that close are
+    counted, and states with equal pairings merge.
+    """
     n = len(d.crossings)
     if n == 0 and d.free_loops == 0:
         raise ValueError("empty diagram has no bracket")
-    if n > cap:
-        raise TooLarge(f"{n} crossings exceeds state-sum cap {cap}")
+    mate = _dart_mates(d)
+    states: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {(): {(0, 0): 1}}
+    old: List[int] = []
+    for ci, new in _sweep_plan(n, mate, cap):
+        base = 4 * ci
+        over = d.crossings[ci].over_slots()
+        # (A-exponent change, arcs): A joins over slot o to o+3, B to o+1
+        smoothings = [
+            (da, [(base + o, base + (o + step) % 4) for o in over])
+            for da, step in ((1, 3), (-1, 1))
+        ]
+        glues = [
+            (dart, mate[dart])
+            for dart in range(base, base + 4)
+            if dart not in new and (mate[dart] >> 2 != ci or mate[dart] < dart)
+        ]
+        nxt: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {}
+        for key, weights in states.items():
+            pairing = dict(zip(old, key))
+            for da, arcs in smoothings:
+                p = dict(pairing)
+                for a, b in arcs:
+                    p[a], p[b] = b, a
+                closed = 0
+                for x, y in glues:
+                    if p[x] == y:
+                        closed += 1
+                        del p[x], p[y]
+                    else:
+                        px, py = p.pop(x), p.pop(y)
+                        p[px], p[py] = py, px
+                out = nxt.setdefault(tuple(p[f] for f in new), {})
+                for (a, loops), count in weights.items():
+                    k = (a + da, loops + closed)
+                    out[k] = out.get(k, 0) + count
+        states, old = nxt, new
+
+    by_loops: Dict[int, Dict[int, int]] = {}
+    for (a, loops), count in states[()].items():
+        by_loops.setdefault(loops + d.free_loops - 1, {})[a] = count
     total = LaurentPoly.zero()
-    for state in range(1 << n):
-        b = bin(state).count("1")
-        loops = (_state_loops(d, state) if n else 0) + d.free_loops
-        term = LaurentPoly.monomial(1, n - 2 * b) * D_POLY ** (loops - 1)
-        total = total + term
+    for k, coeffs in by_loops.items():
+        total = total + LaurentPoly(coeffs) * D_POLY ** k
     return total
 
 

@@ -148,6 +148,18 @@ def test_verify_figure_eight(tmp_path, capsys):
     assert _json_out(capsys)["ok"] is True
 
 
+def test_verify_ladder_above_fourteen_crossings(tmp_path, capsys):
+    from ribbonfold.ingest import emit_pd
+    from ladder import ladder
+
+    p = tmp_path / "ladder20.pd"
+    p.write_text(emit_pd(ladder(20)) + "\n")
+    assert run_command(["verify", str(p)]) == 0
+    report = _json_out(capsys)
+    assert report["crossings"] == 20
+    assert report["ok"] is True
+
+
 def test_table_preserves_row_order(tmp_path, capsys):
     src = tmp_path / "in.csv"
     with open(src, "w", newline="") as fh:

@@ -11,9 +11,13 @@ from ribbonfold.invariants import (
     orient,
     writhe,
 )
+from ribbonfold.ingest import bundled_table
 from ribbonfold.laurent import LaurentPoly
 from ribbonfold.model import Crossing, PlanarDiagram, RoutingError, validate_diagram
+from bracket_reference import reference_bracket
 from grids import build
+from randbraids import random_closures
+from randgrids import iter_readable_grids
 
 TREFOIL = PlanarDiagram(
     (
@@ -25,6 +29,7 @@ TREFOIL = PlanarDiagram(
 HOPF = PlanarDiagram((Crossing(0, (4, 1, 3, 2)), Crossing(1, (2, 3, 1, 4))))
 KINK_POS = PlanarDiagram((Crossing(0, (1, 1, 2, 2)),))
 KINK_NEG = PlanarDiagram((Crossing(0, (1, 2, 2, 1)),))
+DOUBLE_KINK = PlanarDiagram((Crossing(0, (1, 1, 2, 4)), Crossing(1, (2, 3, 3, 4))))
 UNKNOT = PlanarDiagram((), 1)
 
 ONE = LaurentPoly.one()
@@ -49,9 +54,8 @@ def test_kink_brackets_and_writhes():
 
 def test_double_kink_unknots():
     # two consecutive kinks of either chirality still normalize to 1
-    dd = PlanarDiagram((Crossing(0, (1, 1, 2, 4)), Crossing(1, (2, 3, 3, 4))))
-    assert validate_diagram(dd) == []
-    assert jones_normalized(dd) == ONE
+    assert validate_diagram(DOUBLE_KINK) == []
+    assert jones_normalized(DOUBLE_KINK) == ONE
 
 
 def test_trefoil_anchor_values():
@@ -99,6 +103,42 @@ def test_bracket_multiplicative_over_split_loop():
 def test_too_large_cap():
     with pytest.raises(TooLarge):
         kauffman_bracket(TREFOIL, cap=2)
+
+
+def _sweep_disagreements(diagrams):
+    return [name for name, d in diagrams if kauffman_bracket(d) != reference_bracket(d)]
+
+
+def test_sweep_matches_state_sum_on_fixtures():
+    fixtures = [
+        ("unknot", UNKNOT),
+        ("two loops", PlanarDiagram((), 2)),
+        ("kink+", KINK_POS),
+        ("kink-", KINK_NEG),
+        ("double kink", DOUBLE_KINK),
+        ("trefoil", TREFOIL),
+        ("mirror trefoil", TREFOIL.mirror()),
+        ("hopf", HOPF),
+        ("trefoil + loop", PlanarDiagram(TREFOIL.crossings, free_loops=1)),
+    ]
+    assert _sweep_disagreements(fixtures) == []
+
+
+def test_sweep_matches_state_sum_on_corpus():
+    entries = bundled_table()
+    assert len(entries) >= 38
+    assert _sweep_disagreements((e.name, e.diagram) for e in entries) == []
+
+
+def test_sweep_matches_state_sum_on_random_grids():
+    readbacks = [(seed, bgd_to_pd(g)) for seed, g in iter_readable_grids(30)]
+    assert _sweep_disagreements(readbacks) == []
+
+
+def test_sweep_matches_state_sum_on_random_closures():
+    closures = random_closures(seed=12, count=20, max_crossings=12)
+    assert len(closures) == 20
+    assert _sweep_disagreements(closures) == []
 
 
 def test_bgd_to_pd_unknot():
