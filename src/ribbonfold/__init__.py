@@ -14,6 +14,7 @@ from .bound import (
     block_counts,
     comparison_bounds,
     compute_bound,
+    grid_bound,
     report_json,
     rib_upper_bound,
     run_pipeline,
@@ -88,7 +89,7 @@ __all__ = [
     # rewrite
     "normalize", "is_normal_form", "RewriteError",
     # bound
-    "compute_bound", "run_pipeline", "report_json", "block_counts",
+    "compute_bound", "grid_bound", "run_pipeline", "report_json", "block_counts",
     "rib_upper_bound", "theoretical_bound", "comparison_bounds",
     "PipelineResult", "DomainError",
     # layout

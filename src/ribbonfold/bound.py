@@ -35,6 +35,7 @@ __all__ = [
     "comparison_bounds",
     "run_pipeline",
     "compute_bound",
+    "grid_bound",
     "report_json",
 ]
 
@@ -104,6 +105,31 @@ def run_pipeline(d: PlanarDiagram) -> PipelineResult:
     return PipelineResult(ld, flip, g, normalize(g))
 
 
+def _report(name: Optional[str], c: int, counts: Dict[str, int], note: str = "",
+            res: Optional[PipelineResult] = None) -> BoundReport:
+    """Assemble a report; closed forms only where they apply (c >= 2)."""
+    floor_form, linear_form = theoretical_bound(c) if c >= 2 else (None, None)
+    cmp = comparison_bounds(c)
+    flip = res.flip if res is not None else FlipChoice()
+    return BoundReport(
+        name=name,
+        crossings=c,
+        portion_counts=(
+            res.leveled.portion_counts() if res is not None
+            else {k: 0 for k in PORTION_KINDS}
+        ),
+        flip_x=flip.flip_x,
+        flip_y=flip.flip_y,
+        block_counts=counts,
+        certified_bound=rib_upper_bound(counts),
+        theoretical_floor=floor_form,
+        theoretical_linear=linear_form,
+        tian_bound=cmp["tian"],
+        denne_bound=cmp["denne"],
+        note=note,
+    )
+
+
 def compute_bound(d: PlanarDiagram, name: Optional[str] = None) -> BoundReport:
     """Run the full pipeline on a diagram and assemble its report.
 
@@ -111,38 +137,17 @@ def compute_bound(d: PlanarDiagram, name: Optional[str] = None) -> BoundReport:
     be folded below any positive length, so its bound is 0.
     """
     c = d.crossing_number
-    cmp = comparison_bounds(c)
     if c == 0:
-        return BoundReport(
-            name=name,
-            crossings=0,
-            portion_counts={k: 0 for k in PORTION_KINDS},
-            flip_x=False,
-            flip_y=False,
-            block_counts={k: 0 for k in BLOCK_KEYS},
-            certified_bound=0,
-            theoretical_floor=None,
-            theoretical_linear=None,
-            tian_bound=cmp["tian"],
-            denne_bound=cmp["denne"],
-            note="trivial loops fold below any positive length; bound 0",
-        )
+        return _report(name, 0, {k: 0 for k in BLOCK_KEYS},
+                       "trivial loops fold below any positive length; bound 0")
     res = run_pipeline(d)
-    counts = block_counts(res.normal)
-    floor_form, linear_form = theoretical_bound(c)
-    return BoundReport(
-        name=name,
-        crossings=c,
-        portion_counts=res.leveled.portion_counts(),
-        flip_x=res.flip.flip_x,
-        flip_y=res.flip.flip_y,
-        block_counts=counts,
-        certified_bound=rib_upper_bound(counts),
-        theoretical_floor=floor_form,
-        theoretical_linear=linear_form,
-        tian_bound=cmp["tian"],
-        denne_bound=cmp["denne"],
-    )
+    return _report(name, c, block_counts(res.normal), res=res)
+
+
+def grid_bound(g: BinaryGridDiagram, name: Optional[str] = None) -> BoundReport:
+    """Normalize a grid and assemble its report; the leveling never ran."""
+    return _report(name, g.crossing_number, block_counts(normalize(g)),
+                   "grid input: portion counts unavailable")
 
 
 def report_json(r: BoundReport) -> Dict[str, object]:

@@ -17,15 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bound import (
-    block_counts,
-    comparison_bounds,
-    compute_bound,
-    report_json,
-    rib_upper_bound,
-    run_pipeline,
-    theoretical_bound,
-)
+from .bound import compute_bound, grid_bound, report_json, run_pipeline
 from .expand import BgdFormatError, build_bgd, parse_bgd
 from .ingest import (
     LabelError,
@@ -55,13 +47,10 @@ from .layout import (
     schedule_json,
 )
 from .model import (
-    PORTION_KINDS,
     BinaryGridDiagram,
-    BoundReport,
     PlanarDiagram,
     RibbonfoldError,
     RoutingError,
-    check_bgd,
     validate_diagram,
 )
 from .rewrite import RewriteError, normalize
@@ -140,11 +129,7 @@ def _load_pd(path: str, allow_unknot: bool) -> PlanarDiagram:
 
 
 def _load_bgd(path: str) -> BinaryGridDiagram:
-    g = parse_bgd(_read(path))
-    problems = check_bgd(g)
-    if problems:
-        raise _Exit(1, "invalid grid: " + "; ".join(problems))
-    return g
+    return parse_bgd(_read(path))
 
 
 def _grid_readback(g: BinaryGridDiagram) -> PlanarDiagram:
@@ -162,32 +147,6 @@ def _grid_readback(g: BinaryGridDiagram) -> PlanarDiagram:
 # ---------------------------------------------------------------------------
 
 
-def _bound_from_grid(g: BinaryGridDiagram, name: Optional[str]) -> BoundReport:
-    """Report for a grid input; the leveling stage never ran."""
-    gn = normalize(g)
-    counts = block_counts(gn)
-    c = g.crossing_number
-    cmp = comparison_bounds(c)
-    floor_form: Optional[int] = None
-    linear_form: Optional[Fraction] = None
-    if c >= 2:
-        floor_form, linear_form = theoretical_bound(c)
-    return BoundReport(
-        name=name,
-        crossings=c,
-        portion_counts={k: 0 for k in PORTION_KINDS},
-        flip_x=False,
-        flip_y=False,
-        block_counts=counts,
-        certified_bound=rib_upper_bound(counts),
-        theoretical_floor=floor_form,
-        theoretical_linear=linear_form,
-        tian_bound=cmp["tian"],
-        denne_bound=cmp["denne"],
-        note="grid input: portion counts unavailable",
-    )
-
-
 def _cmd_bound(ns) -> int:
     fmt = _detect_format(ns.input, ns.format)
     name = Path(ns.input).stem
@@ -197,7 +156,7 @@ def _cmd_bound(ns) -> int:
     else:
         g = _load_bgd(ns.input)
         _grid_readback(g)
-        report = _bound_from_grid(g, name)
+        report = grid_bound(g, name)
     _emit_json(report_json(report))
     linear = (
         "none" if report.theoretical_linear is None

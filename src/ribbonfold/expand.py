@@ -25,6 +25,7 @@ from .model import (
     check_bgd,
     column_values,
     end_columns,
+    make_row,
     map_columns,
 )
 
@@ -78,37 +79,14 @@ class _Builder:
     """Tracks open columns left-to-right and emits validated rows."""
 
     def __init__(self) -> None:
-        self.active: List[Fraction] = []
+        self.active: Tuple[Fraction, ...] = ()
         self.rows: List[Row] = []
 
-    def _emit(
-        self,
-        shape: Shape,
-        extent: Tuple[Fraction, Fraction],
-        crossed: Optional[Fraction],
-        end_kinds: Tuple[EndKind, EndKind],
-        new_active: List[Fraction],
-    ) -> None:
-        below = tuple(sorted(self.active))
-        above = tuple(sorted(new_active))
-        self.rows.append(Row(shape, extent, end_kinds, crossed, below, above))
-        self.active = new_active
-
-    def min_row(self, lo: Fraction, hi: Fraction, crossed: Optional[Fraction],
-                new_active: List[Fraction]) -> None:
-        self._emit(Shape.MIN, (lo, hi), crossed, (EndKind.UP, EndKind.UP), new_active)
-
-    def max_row(self, lo: Fraction, hi: Fraction, crossed: Optional[Fraction],
-                new_active: List[Fraction]) -> None:
-        self._emit(Shape.MAX, (lo, hi), crossed, (EndKind.DOWN, EndKind.DOWN), new_active)
-
-    def trans_row(self, src: Fraction, dst: Fraction, crossed: Optional[Fraction],
-                  new_active: List[Fraction]) -> None:
-        if src < dst:
-            extent, kinds = (src, dst), (EndKind.DOWN, EndKind.UP)
-        else:
-            extent, kinds = (dst, src), (EndKind.UP, EndKind.DOWN)
-        self._emit(Shape.TRANS, extent, crossed, kinds, new_active)
+    def row(self, shape: Shape, a: Fraction, b: Fraction,
+            crossed: Optional[Fraction]) -> None:
+        r = make_row(shape, a, b, crossed, self.active)
+        self.rows.append(r)
+        self.active = r.columns_above
 
     def left_gap(self, p: int) -> Fraction:
         """A fresh column left of position p."""
@@ -150,8 +128,8 @@ def build_bgd(leveled: LeveledDiagram) -> BinaryGridDiagram:
                 under, over, crossed = (cols[0], cols[2]), (cols[1], cols[3]), cols[2]
             else:
                 under, over, crossed = (cols[1], cols[3]), (cols[0], cols[2]), cols[1]
-            b.min_row(under[0], under[1], None, list(under))
-            b.min_row(over[0], over[1], crossed, cols)
+            b.row(Shape.MIN, under[0], under[1], None)
+            b.row(Shape.MIN, over[0], over[1], crossed)
 
         elif dcount == 4:
             q = b.active
@@ -162,8 +140,8 @@ def build_bgd(leveled: LeveledDiagram) -> BinaryGridDiagram:
                 first, crossed, second = (q[0], q[2]), q[1], (q[1], q[3])
             else:
                 first, crossed, second = (q[1], q[3]), q[2], (q[0], q[2])
-            b.max_row(first[0], first[1], crossed, sorted(second))
-            b.max_row(second[0], second[1], None, [])
+            b.row(Shape.MAX, first[0], first[1], crossed)
+            b.row(Shape.MAX, second[0], second[1], None)
 
         else:
             p = leveled.levels[k].index(x.slots[a])
@@ -171,36 +149,30 @@ def build_bgd(leveled: LeveledDiagram) -> BinaryGridDiagram:
                 cp = b.active[p]
                 if portion.sign > 0:
                     cl, cr = b.left_gap(p), b.right_gap(p)
-                    b.min_row(cl, cr, cp,
-                              b.active[:p] + [cl, cp, cr] + b.active[p + 1:])
+                    b.row(Shape.MIN, cl, cr, cp)
                 else:
                     hi = b.active[p + 1] if p + 1 < len(b.active) else cp + 2
                     cl2 = cp + (hi - cp) / 3
                     cr2 = cp + 2 * (hi - cp) / 3
                     cm = _mid(cl2, cr2)
-                    b.min_row(cl2, cr2, None,
-                              b.active[:p + 1] + [cl2, cr2] + b.active[p + 1:])
-                    b.trans_row(cp, cm, cl2,
-                                b.active[:p] + [cl2, cm, cr2] + b.active[p + 3:])
+                    b.row(Shape.MIN, cl2, cr2, None)
+                    b.row(Shape.TRANS, cp, cm, cl2)
             elif dcount == 2:
                 cp, cq = b.active[p], b.active[p + 1]
                 if a_over:
                     cr = b.right_gap(p + 1)
-                    b.trans_row(cp, cr, cq,
-                                b.active[:p] + [cq, cr] + b.active[p + 2:])
+                    b.row(Shape.TRANS, cp, cr, cq)
                 else:
                     cl = b.left_gap(p)
-                    b.trans_row(cq, cl, cp,
-                                b.active[:p] + [cl, cp] + b.active[p + 2:])
+                    b.row(Shape.TRANS, cq, cl, cp)
             elif dcount == 3:
                 c0, c1, c2 = b.active[p:p + 3]
                 if portion.sign > 0:
-                    b.max_row(c0, c2, c1, b.active[:p] + [c1] + b.active[p + 3:])
+                    b.row(Shape.MAX, c0, c2, c1)
                 else:
                     cr = b.right_gap(p + 2)
-                    b.trans_row(c1, cr, c2,
-                                b.active[:p] + [c0, c2, cr] + b.active[p + 3:])
-                    b.max_row(c0, c2, None, b.active[:p] + [cr] + b.active[p + 3:])
+                    b.row(Shape.TRANS, c1, cr, c2)
+                    b.row(Shape.MAX, c0, c2, None)
             else:
                 raise ExpansionError(f"bad down count {dcount}")
 
@@ -256,7 +228,7 @@ def parse_bgd(text: str) -> BinaryGridDiagram:
     direction is forced by the shape, but rejected for TRANS rows.
     """
     rows: List[Row] = []
-    active: List[int] = []
+    active: Tuple[int, ...] = ()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -267,6 +239,9 @@ def parse_bgd(text: str) -> BinaryGridDiagram:
         shape = Shape(m.group(1))
         crossed = None if m.group(2) is None else int(m.group(2))
         lo, hi = int(m.group(3)), int(m.group(4))
+        if not lo < hi:
+            raise BgdFormatError(
+                f"line {lineno}: extent [{lo},{hi}] not strictly increasing")
         kinds = [m.group(5), m.group(6)]
         for i, kind in enumerate(kinds):
             if kind != "elbow":
@@ -287,15 +262,13 @@ def parse_bgd(text: str) -> BinaryGridDiagram:
         for c in created:
             if c in active:
                 raise BgdFormatError(f"line {lineno}: column {c} is already open")
-        below = tuple(sorted(active))
-        for c in consumed:
-            active.remove(c)
-        active.extend(created)
-        active.sort()
-        rows.append(Row(shape, (lo, hi), end_kinds, crossed, below, tuple(active)))
+        # a TRANS row continues its down end as its up end
+        a, b = (lo, hi) if end_kinds[0] is EndKind.DOWN else (hi, lo)
+        rows.append(make_row(shape, a, b, crossed, active))
+        active = rows[-1].columns_above
 
     if active:
-        raise BgdFormatError(f"columns {sorted(active)} still open at the top")
+        raise BgdFormatError(f"columns {list(active)} still open at the top")
     g = BinaryGridDiagram(tuple(rows))
     problems = check_bgd(g)
     if problems:

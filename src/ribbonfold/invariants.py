@@ -35,6 +35,7 @@ from .model import (
     RibbonfoldError,
     RoutingError,
     Shape,
+    UnionFind,
     check_bgd,
     validate_diagram,
 )
@@ -46,21 +47,6 @@ DEFAULT_CAP = 20  # open edges in the sweep frontier
 
 class TooLarge(RibbonfoldError):
     """The sweep frontier would exceed the configured width cap."""
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: Dict[object, object] = {}
-
-    def find(self, a):
-        p = self.parent
-        while p.setdefault(a, a) != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a, b):
-        self.parent[self.find(a)] = self.find(b)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +263,7 @@ def bgd_to_pd(g: BinaryGridDiagram) -> PlanarDiagram:
     if problems:
         raise RoutingError("invalid grid diagram: " + "; ".join(problems))
 
-    uf = _UnionFind()
+    uf = UnionFind()
     crossings_rows: List[int] = []
     for i, row in enumerate(g.rows):
         a, b = row.extent

@@ -481,18 +481,13 @@ def core_diagram(s: FoldSchedule) -> PlanarDiagram:
     where a body passes its crossed wing. The walk reconstructs a planar
     diagram from the schedule alone, for checking against the input.
     """
+    ends = [(Shape.MIN, p.insertion, p.crossed_wing) for p in s.planes]
+    ends += [(Shape.MAX, c.join, None) for c in s.caps]
     rows: List[Row] = []
-    open_cols: Tuple[Col, ...] = ()
-    for p in s.planes:
-        lo, hi = p.insertion
-        above = tuple(sorted(open_cols + (lo, hi)))
-        rows.append(make_row(Shape.MIN, lo, hi, p.crossed_wing, open_cols, above))
-        open_cols = above
-    for c in s.caps:
-        a, b = c.join
-        above = tuple(v for v in open_cols if v != a and v != b)
-        rows.append(make_row(Shape.MAX, a, b, None, open_cols, above))
-        open_cols = above
+    below: Tuple[Col, ...] = ()
+    for shape, (a, b), crossed in ends:
+        rows.append(make_row(shape, a, b, crossed, below))
+        below = rows[-1].columns_above
     return bgd_to_pd(BinaryGridDiagram(tuple(rows)))
 
 

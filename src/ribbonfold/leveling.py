@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ingest import detect_nugatory
 from .model import (
+    Crossing,
     LeveledDiagram,
     PlanarDiagram,
     PortionType,
@@ -104,15 +105,18 @@ def _attach(open_seq: Tuple[int, ...], slots, downs: Dict[int, int],
     return open_seq[:p] + ups + open_seq[p + dcount :]
 
 
-def find_leveling(diagram: PlanarDiagram, exhaustive: bool = False) -> LeveledDiagram:
-    """Search for a leveling with one bottom and one top crossing.
+def _t1_minus(portions: Sequence[PortionType]) -> int:
+    return sum(1 for p in portions if p.index == 1 and p.sign < 0)
 
-    Deterministic backtracking over placement orders and attachment arcs.
-    With exhaustive=True, every leveling is enumerated and one minimizing
-    the T1- count is returned; this can be exponential in the crossing
-    number, so the default returns the first leveling found.
+
+def _search(diagram: PlanarDiagram, fixed: Optional[Sequence[int]] = None,
+            exhaustive: bool = False) -> Optional[LeveledDiagram]:
+    """Backtrack over placement orders and attachment arcs.
+
+    With ``fixed``, crossings are placed in that order and only the arcs
+    are searched. Returns the first leveling found or, when exhaustive,
+    one minimizing the T1- count; None when there is none.
     """
-    _preconditions(diagram)
     n = len(diagram.crossings)
     inc = diagram.incidences()
     placed = [False] * n
@@ -120,17 +124,15 @@ def find_leveling(diagram: PlanarDiagram, exhaustive: bool = False) -> LeveledDi
     arcs: List[int] = []
     levels: List[Tuple[int, ...]] = [()]
     portions: List[PortionType] = []
-    best: List[Optional[Tuple]] = [None]
+    best: List[Optional[Tuple[int, LeveledDiagram]]] = [None]
 
     def record() -> bool:
-        snap = (tuple(order), tuple(arcs), tuple(levels), tuple(portions))
-        if not exhaustive:
-            best[0] = snap
-            return True
-        t1m = sum(1 for p in snap[3] if p.index == 1 and p.sign < 0)
+        found = LeveledDiagram(diagram, tuple(order), tuple(arcs),
+                               tuple(portions), tuple(levels))
+        t1m = _t1_minus(portions)
         if best[0] is None or t1m < best[0][0]:
-            best[0] = (t1m, snap)
-        return False
+            best[0] = (t1m, found)
+        return not exhaustive
 
     def dfs() -> bool:
         k = len(order)
@@ -139,7 +141,7 @@ def find_leveling(diagram: PlanarDiagram, exhaustive: bool = False) -> LeveledDi
         open_seq = levels[-1]
         cands = []
         saturated = 0
-        for ci in range(n):
+        for ci in range(n) if fixed is None else (fixed[k],):
             if placed[ci]:
                 continue
             downs = _down_edges(diagram, inc, placed, ci)
@@ -175,49 +177,24 @@ def find_leveling(diagram: PlanarDiagram, exhaustive: bool = False) -> LeveledDi
         return False
 
     dfs()
-    if best[0] is None:
+    return None if best[0] is None else best[0][1]
+
+
+def find_leveling(diagram: PlanarDiagram, exhaustive: bool = False) -> LeveledDiagram:
+    """Search for a leveling with one bottom and one top crossing.
+
+    Deterministic backtracking over placement orders and attachment arcs.
+    With exhaustive=True, every leveling is enumerated and one minimizing
+    the T1- count is returned; this can be exponential in the crossing
+    number, so the default returns the first leveling found.
+    """
+    _preconditions(diagram)
+    ld = _search(diagram, exhaustive=exhaustive)
+    if ld is None:
         raise NoLevelingFound(
-            f"no leveling for this {n}-crossing diagram"
+            f"no leveling for this {len(diagram.crossings)}-crossing diagram"
         )
-    snap = best[0] if not exhaustive else best[0][1]
-    return LeveledDiagram(diagram, snap[0], snap[1], snap[3], snap[2])
-
-
-def _replay(diagram: PlanarDiagram, order: Sequence[int]) -> LeveledDiagram:
-    """Re-derive arcs and levels for a fixed placement order."""
-    n = len(diagram.crossings)
-    inc = diagram.incidences()
-    placed = [False] * n
-    arcs: List[int] = []
-    levels: List[Tuple[int, ...]] = [()]
-    portions: List[PortionType] = []
-
-    def dfs(k: int) -> bool:
-        if k == n:
-            return True
-        ci = order[k]
-        downs = _down_edges(diagram, inc, placed, ci)
-        x = diagram.crossings[ci]
-        for a in range(4):
-            nxt = _attach(levels[-1], x.slots, downs, a)
-            if nxt is None:
-                continue
-            placed[ci] = True
-            arcs.append(a)
-            levels.append(nxt)
-            portions.append(classify_portion(len(downs), a, x.over_pair))
-            if dfs(k + 1):
-                return True
-            placed[ci] = False
-            arcs.pop()
-            levels.pop()
-            portions.pop()
-        return False
-
-    if not dfs(0):
-        raise NoLevelingFound("replay failed for the given order")
-    return LeveledDiagram(diagram, tuple(order), tuple(arcs),
-                          tuple(portions), tuple(levels))
+    return ld
 
 
 _X_PERM = (2, 1, 0, 3)
@@ -242,7 +219,7 @@ def _flip_diagram(d: PlanarDiagram, flip_x: bool, flip_y: bool) -> PlanarDiagram
     out = []
     for x in d.crossings:
         slots = tuple(x.slots[perm[j]] for j in range(4))
-        out.append(type(x)(x.id, slots, x.over_pair ^ toggle))
+        out.append(Crossing(x.id, slots, x.over_pair ^ toggle))
     return PlanarDiagram(tuple(out), d.free_loops)
 
 
@@ -252,7 +229,10 @@ def apply_flip(ld: LeveledDiagram, choice: FlipChoice) -> LeveledDiagram:
         return ld
     d2 = _flip_diagram(ld.diagram, choice.flip_x, choice.flip_y)
     order = tuple(reversed(ld.order)) if choice.flip_x else ld.order
-    return _replay(d2, order)
+    flipped = _search(d2, fixed=order)
+    if flipped is None:
+        raise NoLevelingFound("replay failed for the given order")
+    return flipped
 
 
 def optimize_flips(ld: LeveledDiagram) -> Tuple[LeveledDiagram, FlipChoice]:
@@ -266,7 +246,7 @@ def optimize_flips(ld: LeveledDiagram) -> Tuple[LeveledDiagram, FlipChoice]:
     for fx, fy in ((False, False), (False, True), (True, False), (True, True)):
         choice = FlipChoice(fx, fy)
         cand = apply_flip(ld, choice)
-        t1m = sum(1 for p in cand.portions if p.index == 1 and p.sign < 0)
+        t1m = _t1_minus(cand.portions)
         if best is None or t1m < best[0]:
             best = (t1m, cand, choice)
     return best[1], best[2]

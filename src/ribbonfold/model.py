@@ -19,6 +19,7 @@ All types are immutable value objects; transformations return new values.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,23 @@ class RoutingError(RibbonfoldError):
     """Internal strand-routing inconsistency; indicates a bug, not bad input."""
 
 
+class UnionFind:
+    """Disjoint sets over hashable keys, created on first use."""
+
+    def __init__(self) -> None:
+        self.parent: Dict[object, object] = {}
+
+    def find(self, a):
+        p = self.parent
+        while p.setdefault(a, a) != a:
+            p[a] = p[p[a]]
+            a = p[a]
+        return a
+
+    def union(self, a, b) -> None:
+        self.parent[self.find(a)] = self.find(b)
+
+
 # ---------------------------------------------------------------------------
 # Planar diagrams
 # ---------------------------------------------------------------------------
@@ -46,15 +64,12 @@ class Crossing:
 
     ``slots`` lists the four incident edge ids counterclockwise. The slot-0
     edge of a parsed PD token is the incoming under-strand, which makes the
-    over-strand the 1-3 diagonal (over_pair = 1) for parsed input. ``sign``
-    is filled in only when an orientation has been fixed; it is plumbing for
-    the writhe and never drives the pipeline.
+    over-strand the 1-3 diagonal (over_pair = 1) for parsed input.
     """
 
     id: int
     slots: Tuple[int, int, int, int]
     over_pair: int = 1
-    sign: Optional[int] = None
 
     def over_slots(self) -> Tuple[int, int]:
         return (0, 2) if self.over_pair == 0 else (1, 3)
@@ -97,30 +112,17 @@ class PlanarDiagram:
     @property
     def components(self) -> int:
         """Number of link components (strand classes plus free loops)."""
-        if not self.crossings:
-            return self.free_loops
-        parent: Dict[int, int] = {}
-
-        def find(a: int) -> int:
-            while parent.setdefault(a, a) != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a: int, b: int) -> None:
-            parent[find(a)] = find(b)
-
+        uf = UnionFind()
         for x in self.crossings:
-            union(x.slots[0], x.slots[2])
-            union(x.slots[1], x.slots[3])
-        roots = {find(e) for e in parent}
-        return len(roots) + self.free_loops
+            uf.union(x.slots[0], x.slots[2])
+            uf.union(x.slots[1], x.slots[3])
+        return len({uf.find(e) for e in uf.parent}) + self.free_loops
 
     def mirror(self) -> "PlanarDiagram":
         """Swap every crossing's over/under data (mirror image diagram)."""
         return PlanarDiagram(
             tuple(
-                Crossing(x.id, x.slots, 1 - x.over_pair, None)
+                Crossing(x.id, x.slots, 1 - x.over_pair)
                 for x in self.crossings
             ),
             self.free_loops,
@@ -362,13 +364,6 @@ END_KINDS: Dict[Shape, Tuple[Tuple[EndKind, EndKind], ...]] = {
 }
 
 
-def make_row(shape: Shape, lo: Col, hi: Col, crossed: Optional[Col],
-             below: Sequence[Col], above: Sequence[Col]) -> Row:
-    """A cup (MIN) or cap (MAX) row over [lo, hi]; column lists are sorted."""
-    (kinds,) = END_KINDS[shape]
-    return Row(shape, (lo, hi), kinds, crossed, tuple(sorted(below)), tuple(sorted(above)))
-
-
 def end_columns(shape: Shape, extent: Tuple[Col, Col], end_kinds: Tuple[EndKind, EndKind]
                 ) -> Tuple[Tuple[Col, ...], Tuple[Col, ...]]:
     """The columns a row's ends consume from below and create above."""
@@ -378,6 +373,26 @@ def end_columns(shape: Shape, extent: Tuple[Col, Col], end_kinds: Tuple[EndKind,
     if shape is Shape.MAX:
         return (a, b), ()
     return ((a,), (b,)) if end_kinds[0] is EndKind.DOWN else ((b,), (a,))
+
+
+def make_row(shape: Shape, a: Col, b: Col, crossed: Optional[Col],
+             below: Sequence[Col]) -> Row:
+    """The row of ``shape`` over the sorted open columns ``below``.
+
+    A TRANS row continues column a as column b; a cup (MIN) or cap (MAX)
+    spans [min(a, b), max(a, b)]. The columns above are ``below`` minus
+    the ends the row consumes plus the ends it creates, kept sorted.
+    """
+    extent = (a, b) if a < b else (b, a)
+    if shape is Shape.TRANS:  # (down, up) when the strand moves right
+        kinds = END_KINDS[shape][0 if a < b else 1]
+    else:
+        (kinds,) = END_KINDS[shape]
+    consumed, created = end_columns(shape, extent, kinds)
+    above = [v for v in below if v not in consumed]
+    for v in created:
+        bisect.insort(above, v)
+    return Row(shape, extent, kinds, crossed, tuple(below), tuple(above))
 
 
 def map_columns(r: Row, f: Callable[[Col], Col]) -> Row:

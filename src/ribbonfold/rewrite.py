@@ -119,20 +119,17 @@ def convert_block(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
             p = _fresh(src, x, used)
         else:
             p = _fresh(x, src, used)
-        mid = sorted(s + (p, dst))
-        cup = make_row(Shape.MIN, min(p, dst), max(p, dst), x, s, mid)
-        cap = make_row(Shape.MAX, min(src, p), max(src, p), None, mid, r.columns_above)
+        cup = make_row(Shape.MIN, p, dst, x, s)
+        cap = make_row(Shape.MAX, src, p, None, cup.columns_above)
         rows[i:i + 1] = [cup, cap]
     else:
         a, b = r.extent
         x = r.crossed_column
         p = _fresh(a, x, used)
         q = _fresh(x, b, used | {p})
-        mid1 = sorted(s + (p, q))
-        mid2 = sorted(set(mid1) - {a, p})
-        cup = make_row(Shape.MIN, p, q, x, s, mid1)
-        cap1 = make_row(Shape.MAX, a, p, None, mid1, mid2)
-        cap2 = make_row(Shape.MAX, q, b, None, mid2, r.columns_above)
+        cup = make_row(Shape.MIN, p, q, x, s)
+        cap1 = make_row(Shape.MAX, a, p, None, cup.columns_above)
+        cap2 = make_row(Shape.MAX, q, b, None, cap1.columns_above)
         rows[i:i + 1] = [cup, cap1, cap2]
 
     return _checked(rows, g)
@@ -300,10 +297,8 @@ def switch_adjacent(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
     rows = list(g.rows)
 
     if l2 < m1 or m2 < l1:
-        mid = sorted(s + (m1, m2))
-        rows[i] = make_row(Shape.MIN, m1, m2, high.crossed_column, s, mid)
-        rows[i + 1] = make_row(Shape.MAX, l1, l2, None,
-                               mid, sorted(set(mid) - {l1, l2}))
+        rows[i] = make_row(Shape.MIN, m1, m2, high.crossed_column, s)
+        rows[i + 1] = make_row(Shape.MAX, l1, l2, None, rows[i].columns_above)
         return _checked(rows, g)
 
     c = high.crossed_column
@@ -381,11 +376,9 @@ def switch_adjacent(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
         except NotSwitchable as e:
             last_err = e
             continue
-        s2 = cand[i].columns_below
-        mid = sorted(s2 + legs)
-        cand[i] = make_row(Shape.MIN, legs[0], legs[1], c, s2, mid)
+        cand[i] = make_row(Shape.MIN, legs[0], legs[1], c, cand[i].columns_below)
         cand[i + 1] = make_row(Shape.MAX, ends[0], ends[1], None,
-                               mid, sorted(set(mid) - set(ends)))
+                               cand[i].columns_above)
         return _checked(cand, g)
     assert last_err is not None
     raise last_err

@@ -1,6 +1,6 @@
 """Tiny script-driven grid builder shared by the test modules."""
 
-from ribbonfold.model import BinaryGridDiagram, EndKind, Row, Shape
+from ribbonfold.model import BinaryGridDiagram, Shape, make_row
 
 
 def build(script):
@@ -11,28 +11,8 @@ def build(script):
          ("TRANS", down, up[, crossed]) continues column down as column up.
     """
     rows = []
-    cols = []
-    for op in script:
-        kind, x, y, *rest = op
-        cross = rest[0] if rest else None
-        below = tuple(cols)
-        if kind == "MIN":
-            a, b = x, y
-            cols = sorted(cols + [a, b])
-            kinds = (EndKind.UP, EndKind.UP)
-            shape = Shape.MIN
-        elif kind == "MAX":
-            a, b = x, y
-            cols = [c for c in cols if c not in (a, b)]
-            kinds = (EndKind.DOWN, EndKind.DOWN)
-            shape = Shape.MAX
-        elif kind == "TRANS":
-            d, u = x, y
-            a, b = min(d, u), max(d, u)
-            cols = sorted([c for c in cols if c != d] + [u])
-            kinds = (EndKind.DOWN, EndKind.UP) if d == a else (EndKind.UP, EndKind.DOWN)
-            shape = Shape.TRANS
-        else:
-            raise ValueError(kind)
-        rows.append(Row(shape, (a, b), kinds, cross, below, tuple(cols)))
+    below = ()
+    for kind, x, y, *rest in script:
+        rows.append(make_row(Shape(kind), x, y, rest[0] if rest else None, below))
+        below = rows[-1].columns_above
     return BinaryGridDiagram(tuple(rows))

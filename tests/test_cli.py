@@ -57,6 +57,36 @@ def test_bound_grid_input(tmp_path, capsys):
     assert "grid input" in report["note"]
 
 
+def test_bound_grid_kink_has_no_closed_form(tmp_path, capsys):
+    # one crossing: below the closed forms' range, so they stay null
+    p = tmp_path / "kink.bgd"
+    p.write_text(
+        "MIN extent=[1,3] ends=(up,up)\n"
+        "MIN X@3 extent=[2,4] ends=(up,up)\n"
+        "MAX extent=[1,2] ends=(down,down)\n"
+        "MAX extent=[3,4] ends=(down,down)\n"
+    )
+    assert run_command(["bound", str(p)]) == 0
+    report = _json_out(capsys)
+    assert report["crossings"] == 1
+    assert report["certified_bound"] == 4
+    assert report["theoretical_floor"] is None
+    assert report["theoretical_bound"] is None
+    assert "grid input" in report["note"]
+
+
+@pytest.mark.parametrize("text", [
+    "MIN extent=[1,3] ends=(up,up)\nTRANS extent=[3,2] ends=(down,up)\n"
+    "MAX extent=[1,2] ends=(down,down)\n",
+    "MIN extent=[2,1] ends=(up,up)\nMAX extent=[1,2] ends=(down,down)\n",
+])
+def test_grid_with_decreasing_extent_exits_one(tmp_path, capsys, text):
+    p = tmp_path / "bad.bgd"
+    p.write_text(text)
+    assert run_command(["bound", str(p)]) == 1
+    assert "extent" in capsys.readouterr().err
+
+
 def test_bound_unknot_needs_flag(tmp_path, capsys):
     p = tmp_path / "loop.pd"
     p.write_text("\n")

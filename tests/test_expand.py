@@ -119,6 +119,8 @@ def test_elbow_tokens():
     ("MIN extent=[1,2] ends=(up,up)\nMIN extent=[2,3] ends=(up,up)", "already open"),
     ("MIN extent=[1,2] ends=(up,up)", "still open"),
     ("MIN extent=[1,2] ends=(up,down)", "illegal"),
+    ("MIN extent=[1,3] ends=(up,up)\nTRANS extent=[3,2] ends=(down,up)", "line 2: extent"),
+    ("MIN extent=[2,1] ends=(up,up)", "line 1: extent"),
 ])
 def test_parse_errors(bad, msg):
     with pytest.raises(BgdFormatError, match=msg):

@@ -15,6 +15,7 @@ from ribbonfold.leveling import (
     optimize_flips,
 )
 from ribbonfold.model import PlanarDiagram
+from randbraids import random_closures
 
 TREFOIL_TXT = "X(4,2,5,1) X(2,6,3,5) X(6,4,1,3)"
 HOPF_TXT = "X(4,1,3,2) X(2,3,1,4)"
@@ -96,6 +97,21 @@ def test_flips_preserve_link_type(table):
                 assert jones_fingerprint(flipped.diagram) == jones_fingerprint(d)
             else:
                 assert jones_normalized(flipped.diagram) == jones_normalized(d)
+
+
+def test_every_flip_replays_to_a_valid_leveling(table):
+    diagrams = [(name, e.diagram) for name, e in table.items()]
+    diagrams += random_closures(seed=12, count=20, max_crossings=12)
+    diagrams += random_closures(seed=1320, count=12, max_crossings=20,
+                                min_crossings=13)
+    for name, d in diagrams:
+        ld = find_leveling(d)
+        for fx in (False, True):
+            for fy in (False, True):
+                flipped = apply_flip(ld, FlipChoice(fx, fy))
+                assert check_leveling(flipped) == [], (name, fx, fy)
+                want = ld.order[::-1] if fx else ld.order
+                assert flipped.order == want, (name, fx, fy)
 
 
 def test_flip_multiset_law(table):
