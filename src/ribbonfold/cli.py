@@ -42,6 +42,7 @@ from .layout import (
     LayoutOverlap,
     build_pile,
     core_diagram,
+    default_epsilon,
     emit_svg,
     ribbon_length,
     schedule_json,
@@ -128,15 +129,13 @@ def _load_pd(path: str, allow_unknot: bool) -> PlanarDiagram:
     return d
 
 
-def _load_bgd(path: str) -> BinaryGridDiagram:
-    return parse_bgd(_read(path))
-
-
-def _grid_readback(g: BinaryGridDiagram) -> PlanarDiagram:
-    """Read the grid core back as a diagram; split cores are a precondition
-    failure, anything else structurally wrong is a validation failure."""
+def _load_bgd(path: str) -> Tuple[BinaryGridDiagram, PlanarDiagram]:
+    """Parse a grid and read its core back as a diagram; split cores are a
+    precondition failure, anything else structurally wrong is a validation
+    failure."""
+    g = parse_bgd(_read(path))
     try:
-        return bgd_to_pd(g)
+        return g, bgd_to_pd(g)
     except RoutingError as e:
         code = 2 if "Disconnected" in str(e) else 1
         raise _Exit(code, f"grid readback failed: {e}") from e
@@ -154,17 +153,15 @@ def _cmd_bound(ns) -> int:
         d = _load_pd(ns.input, ns.allow_unknot)
         report = compute_bound(d, name=name)
     else:
-        g = _load_bgd(ns.input)
-        _grid_readback(g)
+        g, _ = _load_bgd(ns.input)
         report = grid_bound(g, name)
-    _emit_json(report_json(report))
-    linear = (
-        "none" if report.theoretical_linear is None
-        else f"{float(report.theoretical_linear):g}"
-    )
+    doc = report_json(report)
+    _emit_json(doc)
+    linear = doc["theoretical_bound"]
     _say(
-        f"{name}: {report.crossings} crossings, certified bound "
-        f"{report.certified_bound}, closed form {linear}"
+        f"{name}: {doc['crossings']} crossings, certified bound "
+        f"{doc['certified_bound']}, closed form "
+        + ("none" if linear is None else f"{linear:g}")
     )
     return 0
 
@@ -174,24 +171,13 @@ def _cmd_bound(ns) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _auto_epsilon(schedule, width: Fraction) -> Fraction:
-    """Largest safe default: well under every plane's fold-back budget."""
-    order = {slot: j for j, slot in enumerate(schedule.connection_order)}
-    worst = max(
-        (order[p.insertion[1]] - order[p.insertion[0]] for p in schedule.planes),
-        default=0,
-    )
-    return min(Fraction(1, 100), width / (2 * (worst + 2)))
-
-
 def _cmd_layout(ns) -> int:
     fmt = _detect_format(ns.input, ns.format)
     if fmt == "pd":
         d = _load_pd(ns.input, ns.allow_unknot)
         gn = run_pipeline(d).normal if d.crossings else BinaryGridDiagram(())
     else:
-        g = _load_bgd(ns.input)
-        _grid_readback(g)
+        g, _ = _load_bgd(ns.input)
         gn = normalize(g)
     schedule = build_pile(gn)
 
@@ -200,7 +186,7 @@ def _cmd_layout(ns) -> int:
         raise _Exit(1, "width must be positive")
     eps = (
         Fraction(ns.epsilon) if ns.epsilon is not None
-        else _auto_epsilon(schedule, width)
+        else default_epsilon(schedule, width)
     )
     if eps <= 0:
         raise _Exit(1, "epsilon must be positive")
@@ -314,9 +300,9 @@ def _cmd_verify(ns) -> int:
         )
         _verify_grid_stages(g, fp0, stages, ns.per_step)
     else:
-        g = _load_bgd(ns.input)
+        g, d = _load_bgd(ns.input)
         c = g.crossing_number
-        fp0 = jones_fingerprint(_grid_readback(g))
+        fp0 = jones_fingerprint(d)
         _verify_grid_stages(g, fp0, stages, ns.per_step)
 
     ok = all(s["ok"] for s in stages)
@@ -352,18 +338,8 @@ _TABLE_COLUMNS = [
 
 def _table_row(item: Tuple[str, str]) -> List[str]:
     name, pd_text = item
-    report = compute_bound(parse_pd(pd_text), name=name)
-    return [
-        name,
-        str(report.crossings),
-        str(report.certified_bound),
-        "" if report.theoretical_floor is None else str(report.theoretical_floor),
-        "" if report.theoretical_linear is None
-        else str(float(report.theoretical_linear)),
-        str(report.tian_bound),
-        str(report.denne_bound),
-        report.note,
-    ]
+    doc = report_json(compute_bound(parse_pd(pd_text), name=name))
+    return ["" if doc[k] is None else str(doc[k]) for k in _TABLE_COLUMNS]
 
 
 def _cmd_table(ns) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .invariants import bgd_to_pd
@@ -45,6 +46,7 @@ __all__ = [
     "FoldSchedule",
     "LayoutConfig",
     "build_pile",
+    "default_epsilon",
     "pile_steps",
     "ribbon_length",
     "check_fold_lines",
@@ -193,14 +195,16 @@ def ribbon_length(s: FoldSchedule, epsilon: Num) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+SCALE = 100   # pixels per width unit
+MARGIN = 2    # page border in width units
+
+
 @dataclass(frozen=True)
 class LayoutConfig:
-    """Rendering knobs: ribbon width, allowance, and page scaling."""
+    """Ribbon width and wing/cap allowance."""
 
     width: Num = 1
     epsilon: Num = Fraction(1, 100)
-    scale: int = 100      # pixels per width unit
-    margin: Num = 2       # page border in width units
 
 
 @dataclass(frozen=True)
@@ -213,12 +217,28 @@ class _Geometry:
     crossings: Dict[Col, Tuple[Fraction, ...]]  # wing slot -> body ys over it
 
 
+def _wing_gaps(s: FoldSchedule) -> List[int]:
+    """Per plane, how many wing slots apart its two wings end up."""
+    order = {slot: j for j, slot in enumerate(s.connection_order)}
+    return [order[p.insertion[1]] - order[p.insertion[0]] for p in s.planes]
+
+
+def default_epsilon(s: FoldSchedule, width: Num = 1) -> Fraction:
+    """min(1/100, width / (2(g + 2))), g the widest wing gap.
+
+    A plane whose wings are g slots apart folds back cleanly only while
+    epsilon < width / (g + 2), so the default is half the tightest of
+    those budgets, capped at 1/100.
+    """
+    g = max(_wing_gaps(s), default=0)
+    return min(Fraction(1, 100), Fraction(width) / (2 * (g + 2)))
+
+
 def _geometry(s: FoldSchedule, cfg: LayoutConfig) -> _Geometry:
     eps = Fraction(cfg.epsilon) / Fraction(cfg.width)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     x = {slot: Fraction(2 * j) for j, slot in enumerate(s.connection_order)}
-    order = {slot: j for j, slot in enumerate(s.connection_order)}
     n_planes = len(s.planes)
     plane_y = tuple(Fraction(4 * k) for k in range(n_planes))
     cap_y = tuple(
@@ -226,9 +246,7 @@ def _geometry(s: FoldSchedule, cfg: LayoutConfig) -> _Geometry:
     )
 
     tails: List[Fraction] = []
-    for p in s.planes:
-        lo, hi = p.insertion
-        gap = order[hi] - order[lo]
+    for p, gap in zip(s.planes, _wing_gaps(s)):
         o = 1 - eps * (gap + 2) / 2
         if o <= Fraction(1, 2):
             limit = Fraction(cfg.width) / (gap + 2)
@@ -365,29 +383,18 @@ def emit_svg(s: FoldSchedule, config: Optional[LayoutConfig] = None) -> str:
 
     Wings first, then the body that covers them (the horizontal strand is
     the over strand), fold lines dashed, the core drawn with a gap in the
-    under strand at every crossing. Fold lines are checked for pairwise
-    disjointness before anything is drawn.
+    under strand at every crossing. The fold lines drawn are the ones
+    ``check_fold_lines`` returns, checked before anything is drawn.
     """
     cfg = config or LayoutConfig()
-    scale = Fraction(cfg.scale)
-    margin = Fraction(cfg.margin)
+    scale = Fraction(SCALE)
+    margin = Fraction(MARGIN)
     half = Fraction(1, 2)
 
-    if not s.planes:
-        side = float(2 * margin * scale)
-        return (
-            '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{side:.2f}" height="{side:.2f}" '
-            f'viewBox="0 0 {side:.2f} {side:.2f}">'
-            f"<style>{_STYLE}</style>"
-            f'<rect class="page" x="0" y="0" width="{side:.2f}" '
-            f'height="{side:.2f}"/></svg>'
-        )
-
     geo = _geometry(s, cfg)
-    check_fold_lines(s, cfg)
+    folds = iter(check_fold_lines(s, cfg))
 
-    xs: List[Fraction] = []
+    xs: List[Fraction] = [Fraction(0)]
     ys: List[Fraction] = [Fraction(-1)]
     for k, p in enumerate(s.planes):
         xs.append(geo.x[p.insertion[0]] - 1)
@@ -437,9 +444,7 @@ def emit_svg(s: FoldSchedule, config: Optional[LayoutConfig] = None) -> str:
             parts.append(rect("wing", xw - half, xw + half, y, geo.top_of[slot]))
         parts.append(rect("body", xl, xt, y - half, y + half))
         parts.append(rect("return", xr, xt, y - Fraction(3, 10), y + Fraction(3, 10)))
-        parts.append(line("fold", (xl - half, y - half), (xl + half, y + half)))
-        parts.append(line("fold", (xr - half, y + half), (xr + half, y - half)))
-        parts.append(line("fold", (xt, y - half), (xt, y + half)))
+        parts.extend(line("fold", a, b) for a, b in islice(folds, 3))
         parts.append(line("core", (xl, y), (xt, y)))
         for slot in p.insertion:
             xw = geo.x[slot]
@@ -456,8 +461,7 @@ def emit_svg(s: FoldSchedule, config: Optional[LayoutConfig] = None) -> str:
         xa, xb = geo.x[c.join[0]], geo.x[c.join[1]]
         parts.append(f'<g id="cap-{m}">')
         parts.append(rect("bridge", xa, xb, y - half, y + half))
-        parts.append(line("fold", (xa - half, y - half), (xa + half, y + half)))
-        parts.append(line("fold", (xb - half, y + half), (xb + half, y - half)))
+        parts.extend(line("fold", a, b) for a, b in islice(folds, 2))
         parts.append(line("core", (xa, y), (xb, y)))
         parts.append(
             f'<text class="lbl" x="{fx(xb + Fraction(3, 4))}" '

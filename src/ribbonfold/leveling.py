@@ -109,13 +109,13 @@ def _t1_minus(portions: Sequence[PortionType]) -> int:
     return sum(1 for p in portions if p.index == 1 and p.sign < 0)
 
 
-def _search(diagram: PlanarDiagram, fixed: Optional[Sequence[int]] = None,
-            exhaustive: bool = False) -> Optional[LeveledDiagram]:
+def _search(diagram: PlanarDiagram,
+            fixed: Optional[Sequence[int]] = None) -> Optional[LeveledDiagram]:
     """Backtrack over placement orders and attachment arcs.
 
     With ``fixed``, crossings are placed in that order and only the arcs
-    are searched. Returns the first leveling found or, when exhaustive,
-    one minimizing the T1- count; None when there is none.
+    are searched. Returns the first leveling found, or None when there is
+    none.
     """
     n = len(diagram.crossings)
     inc = diagram.incidences()
@@ -124,20 +124,12 @@ def _search(diagram: PlanarDiagram, fixed: Optional[Sequence[int]] = None,
     arcs: List[int] = []
     levels: List[Tuple[int, ...]] = [()]
     portions: List[PortionType] = []
-    best: List[Optional[Tuple[int, LeveledDiagram]]] = [None]
 
-    def record() -> bool:
-        found = LeveledDiagram(diagram, tuple(order), tuple(arcs),
-                               tuple(portions), tuple(levels))
-        t1m = _t1_minus(portions)
-        if best[0] is None or t1m < best[0][0]:
-            best[0] = (t1m, found)
-        return not exhaustive
-
-    def dfs() -> bool:
+    def dfs() -> Optional[LeveledDiagram]:
         k = len(order)
         if k == n:
-            return record()
+            return LeveledDiagram(diagram, tuple(order), tuple(arcs),
+                                  tuple(portions), tuple(levels))
         open_seq = levels[-1]
         cands = []
         saturated = 0
@@ -149,7 +141,7 @@ def _search(diagram: PlanarDiagram, fixed: Optional[Sequence[int]] = None,
                 saturated += 1
             cands.append((ci, downs))
         if saturated >= 2:
-            return False
+            return None
         for ci, downs in cands:
             d = len(downs)
             if k == 0:
@@ -167,29 +159,28 @@ def _search(diagram: PlanarDiagram, fixed: Optional[Sequence[int]] = None,
                 arcs.append(a)
                 levels.append(nxt)
                 portions.append(classify_portion(d, a, x.over_pair))
-                if dfs():
-                    return True
+                found = dfs()
+                if found is not None:
+                    return found
                 placed[ci] = False
                 order.pop()
                 arcs.pop()
                 levels.pop()
                 portions.pop()
-        return False
+        return None
 
-    dfs()
-    return None if best[0] is None else best[0][1]
+    return dfs()
 
 
-def find_leveling(diagram: PlanarDiagram, exhaustive: bool = False) -> LeveledDiagram:
+def find_leveling(diagram: PlanarDiagram) -> LeveledDiagram:
     """Search for a leveling with one bottom and one top crossing.
 
-    Deterministic backtracking over placement orders and attachment arcs.
-    With exhaustive=True, every leveling is enumerated and one minimizing
-    the T1- count is returned; this can be exponential in the crossing
-    number, so the default returns the first leveling found.
+    Deterministic backtracking over placement orders and attachment arcs;
+    returns the first leveling found. ``optimize_flips`` then minimizes
+    the T1- count over the four flips.
     """
     _preconditions(diagram)
-    ld = _search(diagram, exhaustive=exhaustive)
+    ld = _search(diagram)
     if ld is None:
         raise NoLevelingFound(
             f"no leveling for this {len(diagram.crossings)}-crossing diagram"

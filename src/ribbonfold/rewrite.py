@@ -53,15 +53,24 @@ class RewriteError(RibbonfoldError):
     """A rewrite produced an invalid grid; indicates an internal bug."""
 
 
+def _convertible(r: Row) -> bool:
+    """A sideways row or a crossed cap: the rows ``convert_block`` replaces."""
+    return r.shape is Shape.TRANS or (
+        r.shape is Shape.MAX and r.crossed_column is not None)
+
+
+def _plain_cap(r: Row) -> bool:
+    """A cap over no crossing: the rows ``switch_adjacent`` floats up."""
+    return r.shape is Shape.MAX and r.crossed_column is None
+
+
 def is_normal_form(g: BinaryGridDiagram) -> bool:
     """True when every cup precedes every cap and caps are plain."""
     seen_max = False
     for r in g.rows:
-        if r.shape is Shape.TRANS:
+        if _convertible(r):
             return False
         if r.shape is Shape.MAX:
-            if r.crossed_column is not None:
-                return False
             seen_max = True
         elif seen_max:
             return False
@@ -100,9 +109,9 @@ def convert_block(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
     if not 0 <= i < len(g.rows):
         raise IndexError(f"row {i} out of range")
     r = g.rows[i]
-    name = r.block_type.name
-    if name not in ("B2", "B2r", "B3"):
-        raise NotConvertible(f"row {i} is {name}; only B2, B2r and B3 convert")
+    if not _convertible(r):
+        raise NotConvertible(
+            f"row {i} is {r.block_type.name}; only B2, B2r and B3 convert")
 
     used = column_values(g.rows)
     s = r.columns_below
@@ -282,7 +291,7 @@ def switch_adjacent(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
     if not 0 <= i < len(g.rows) - 1:
         raise IndexError(f"no adjacent pair at row {i}")
     low, high = g.rows[i], g.rows[i + 1]
-    if low.block_type.name != "B3r":
+    if not _plain_cap(low):
         raise NotSwitchable(f"lower row is {low.block_type.name}, not a plain cap")
     if high.shape is Shape.MAX:
         if high.crossed_column is None:
@@ -399,18 +408,18 @@ def normalize(
     _require(check_bgd(g), "normalize was given an invalid grid")
     i = 0
     while i < len(g.rows):
-        name = g.rows[i].block_type.name
-        if name in ("B2", "B2r", "B3"):
+        r = g.rows[i]
+        if _convertible(r):
             g = convert_block(g, i)
             if trace is not None:
-                trace.append((f"convert {name} at row {i}", g))
+                trace.append((f"convert {r.block_type.name} at row {i}", g))
         else:
             i += 1
 
     while True:
         pairs = [
             j for j in range(len(g.rows) - 1)
-            if g.rows[j].block_type.name == "B3r" and g.rows[j + 1].shape is Shape.MIN
+            if _plain_cap(g.rows[j]) and g.rows[j + 1].shape is Shape.MIN
         ]
         if not pairs:
             break

@@ -16,3 +16,13 @@ def build(script):
         rows.append(make_row(Shape(kind), x, y, rest[0] if rest else None, below))
         below = rows[-1].columns_above
     return BinaryGridDiagram(tuple(rows))
+
+
+# 30 cups nested in one outer cup, then the caps from the inside out: the
+# outer plane's wings end 61 slots apart, so its fold-back budget is 1/63
+NESTED = (
+    [("MIN", 0, 1000)]
+    + [("MIN", 2 * k - 1, 2 * k) for k in range(1, 31)]
+    + [("MAX", 2 * k - 1, 2 * k) for k in range(30, 0, -1)]
+    + [("MAX", 0, 1000)]
+)

@@ -222,6 +222,42 @@ def test_table_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_table_cells_match_bound_json(tmp_path, capsys):
+    from ribbonfold.ingest import bundled_table
+
+    src = tmp_path / "corpus.csv"
+    out = tmp_path / "out.csv"
+    entries = bundled_table()
+    with open(src, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["name", "crossings", "pd"])
+        w.writerows([e.name, e.crossings, e.pd_text] for e in entries)
+    assert run_command(["table", str(src), "-o", str(out)]) == 0
+    capsys.readouterr()
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(entries) == 38
+    for e, row in zip(entries, rows):
+        p = tmp_path / f"{e.name}.pd"
+        p.write_text(e.pd_text + "\n")
+        assert run_command(["bound", str(p)]) == 0
+        report = _json_out(capsys)
+        for key, cell in row.items():
+            want = report[key]
+            assert cell == ("" if want is None else str(want)), (e.name, key)
+
+
+def test_layout_default_epsilon_below_cap(tmp_path, capsys):
+    # half the outer plane's fold-back budget of 1/63
+    from ribbonfold.expand import bgd_to_text
+    from grids import NESTED, build
+
+    p = tmp_path / "nested.bgd"
+    p.write_text(bgd_to_text(build(NESTED)) + "\n")
+    assert run_command(["layout", str(p), "-o", str(tmp_path / "nested.svg")]) == 0
+    assert _json_out(capsys)["epsilon"] == 1 / 126
+
+
 def test_table_bad_header(tmp_path, capsys):
     src = tmp_path / "in.csv"
     src.write_text("knot,pd\ntrefoil,whatever\n")

@@ -15,16 +15,18 @@ from ribbonfold.layout import (
     LayoutOverlap,
     NotNormalForm,
     PaperPlane,
+    SCALE,
     build_pile,
     check_fold_lines,
     core_diagram,
+    default_epsilon,
     emit_svg,
     pile_steps,
     ribbon_length,
     schedule_json,
 )
 
-from grids import build
+from grids import NESTED, build
 
 TREFOIL = "X(4,2,5,1) X(2,6,3,5) X(6,4,1,3)"
 HOPF = "X(4,1,3,2) X(2,3,1,4)"
@@ -138,6 +140,43 @@ def test_emit_svg_empty():
     assert doc.startswith("<svg")
     assert "plane-" not in doc
     ET.fromstring(doc)
+
+
+def _fold_lines(doc):
+    return [
+        tuple(float(el.get(k)) for k in ("x1", "y1", "x2", "y2"))
+        for el in ET.fromstring(doc).iter("{http://www.w3.org/2000/svg}line")
+        if el.get("class") == "fold"
+    ]
+
+
+def test_svg_draws_checked_fold_lines():
+    # the page maps (x, y) to ((x - x0) * SCALE, (y1 - y) * SCALE)
+    for entry in list(bundled_table())[:8]:
+        s = build_pile(run_pipeline(entry.diagram).normal)
+        segs = check_fold_lines(s)
+        drawn = _fold_lines(emit_svg(s))
+        assert len(drawn) == len(segs), entry.name
+        (ax, ay), _ = segs[0]
+        x0 = float(ax) - drawn[0][0] / SCALE
+        y1 = float(ay) + drawn[0][1] / SCALE
+        for ((xa, ya), (xb, yb)), line in zip(segs, drawn):
+            want = ((float(xa) - x0) * SCALE, (y1 - float(ya)) * SCALE,
+                    (float(xb) - x0) * SCALE, (y1 - float(yb)) * SCALE)
+            assert line == pytest.approx(want, abs=0.011), entry.name
+    assert _fold_lines(emit_svg(EMPTY)) == []
+
+
+def test_default_epsilon_below_cap():
+    # half the outer plane's fold-back budget of 1/63
+    s = build_pile(build(NESTED))
+    eps = default_epsilon(s)
+    assert eps == Fraction(1, 126)
+    ET.fromstring(emit_svg(s, LayoutConfig(epsilon=eps)))
+    with pytest.raises(LayoutOverlap):
+        emit_svg(s, LayoutConfig(epsilon=Fraction(1, 63)))
+    assert default_epsilon(_schedule(TREFOIL)) == Fraction(1, 100)
+    assert default_epsilon(EMPTY) == Fraction(1, 100)
 
 
 def test_core_diagram_preserves_jones():

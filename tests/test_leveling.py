@@ -146,12 +146,6 @@ def test_optimize_flips(table):
         assert t1_minus(best) <= (e.crossings - 2) // 4, name
 
 
-def test_exhaustive_search():
-    ld = find_leveling(parse_pd(TREFOIL_TXT), exhaustive=True)
-    assert check_leveling(ld) == []
-    assert t1_minus(ld) == 0
-
-
 def test_check_leveling_catches_tampering():
     ld = find_leveling(parse_pd(TREFOIL_TXT))
     arcs = ((ld.arc_starts[0] + 1) % 4,) + ld.arc_starts[1:]
