@@ -7,6 +7,8 @@ of the pile built so far. Cap rows become flat three-segment arcs that
 close wing pairs from the inside out. ``ribbon_length`` prices the
 schedule, ``emit_svg`` draws an exploded schematic, and the fold lines
 it draws are checked for pairwise disjointness in exact arithmetic.
+The check tests only creases that share a 2 x 2 cell of the plane, a
+handful per crease, so its cost grows linearly with the pile.
 
 Geometry conventions for the schematic: one width unit = the ribbon
 width w; wings sit on a pitch-2 grid so every diagonal crease pair is
@@ -36,7 +38,7 @@ from .model import (
     check_bgd,
     make_row,
 )
-from .rewrite import is_normal_form
+from .rewrite import _convertible, is_normal_form
 
 __all__ = [
     "NotNormalForm",
@@ -154,10 +156,7 @@ def build_pile(g: BinaryGridDiagram) -> FoldSchedule:
     if problems:
         raise NotNormalForm("not a valid grid: " + "; ".join(problems))
     if not is_normal_form(g):
-        bad = sorted(
-            {r.block_type.name for r in g.rows if r.shape is Shape.TRANS
-             or (r.shape is Shape.MAX and r.crossed_column is not None)}
-        )
+        bad = sorted({r.block_type.name for r in g.rows if _convertible(r)})
         what = ", ".join(bad) if bad else "cup rows above cap rows"
         raise NotNormalForm(f"grid is not in normal form ({what}); rewrite first")
 
@@ -326,6 +325,32 @@ def _segments_meet(s1: Segment, s2: Segment) -> bool:
     return False
 
 
+def _first_meeting_pair(segs: Sequence[Segment]) -> Optional[Tuple[int, int]]:
+    """The lowest (i, j), i < j, whose segments share a point, else None.
+
+    Each segment is filed under every cell (x // 2, y // 2) that its
+    closed bounding box touches. Two segments that meet share the cell
+    of a common point, so only pairs that share a cell are tested.
+    """
+    cells: Dict[Tuple[int, int], List[int]] = {}
+    for i, ((xa, ya), (xb, yb)) in enumerate(segs):
+        # pitch 2: wings sit 2 apart, plane bodies 4 apart and caps 2
+        # apart, and every crease fits in a 1 x 1 box, so a cell holds
+        # a handful of creases
+        for cx in range(min(xa, xb) // 2, max(xa, xb) // 2 + 1):
+            for cy in range(min(ya, yb) // 2, max(ya, yb) // 2 + 1):
+                cells.setdefault((cx, cy), []).append(i)
+    pairs = sorted({
+        (i, j)
+        for members in cells.values()
+        for k, i in enumerate(members)
+        for j in members[k + 1:]
+    })
+    return next(
+        ((i, j) for i, j in pairs if _segments_meet(segs[i], segs[j])), None
+    )
+
+
 def check_fold_lines(
     s: FoldSchedule, config: Optional[LayoutConfig] = None
 ) -> List[Segment]:
@@ -333,17 +358,17 @@ def check_fold_lines(
 
     Raises LayoutOverlap when any two creases share a point at the chosen
     epsilon, including the per-plane budget collision between the
-    fold-back crease and the right wing fold.
+    fold-back crease and the right wing fold. Only creases that share a
+    2 x 2 cell are tested, so the cost grows linearly with the pile.
     """
     cfg = config or LayoutConfig()
     geo = _geometry(s, cfg)
     segs = _fold_segments(s, geo)
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            if _segments_meet(segs[i], segs[j]):
-                raise LayoutOverlap(
-                    f"fold lines {i} and {j} intersect at epsilon {cfg.epsilon}"
-                )
+    hit = _first_meeting_pair(segs)
+    if hit is not None:
+        raise LayoutOverlap(
+            f"fold lines {hit[0]} and {hit[1]} intersect at epsilon {cfg.epsilon}"
+        )
     return segs
 
 

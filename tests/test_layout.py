@@ -1,10 +1,12 @@
 """Pile construction, fold pricing, and the SVG schematic."""
 
+import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
 
+from ribbonfold import layout
 from ribbonfold.bound import block_counts, rib_upper_bound, run_pipeline
 from ribbonfold.ingest import bundled_table, parse_pd
 from ribbonfold.invariants import jones_fingerprint
@@ -16,6 +18,8 @@ from ribbonfold.layout import (
     NotNormalForm,
     PaperPlane,
     SCALE,
+    _first_meeting_pair,
+    _wing_gaps,
     build_pile,
     check_fold_lines,
     core_diagram,
@@ -25,8 +29,15 @@ from ribbonfold.layout import (
     ribbon_length,
     schedule_json,
 )
+from ribbonfold.rewrite import RewriteError
 
+from foldlines_reference import (
+    reference_check_fold_lines,
+    reference_first_meeting_pair,
+)
 from grids import NESTED, build
+from ladder import ladder
+from randbraids import random_closures
 
 TREFOIL = "X(4,2,5,1) X(2,6,3,5) X(6,4,1,3)"
 HOPF = "X(4,1,3,2) X(2,3,1,4)"
@@ -64,6 +75,20 @@ def test_build_pile_rejects_non_normal():
     g = run_pipeline(parse_pd(TREFOIL)).grid
     with pytest.raises(NotNormalForm):
         build_pile(g)
+
+
+def test_build_pile_names_the_blocks_to_convert():
+    # a sideways row (B2) and a crossed cap (B3), both valid grid rows
+    g = build([("MIN", 0, 3), ("MIN", 1, 2), ("TRANS", 2, 4, 3),
+               ("MAX", 0, 3, 1), ("MAX", 1, 4)])
+    with pytest.raises(NotNormalForm) as e:
+        build_pile(g)
+    assert str(e.value) == "grid is not in normal form (B2, B3); rewrite first"
+    g = build([("MIN", 0, 1), ("MAX", 0, 1), ("MIN", 0, 1), ("MAX", 0, 1)])
+    with pytest.raises(NotNormalForm) as e:
+        build_pile(g)
+    assert str(e.value) == (
+        "grid is not in normal form (cup rows above cap rows); rewrite first")
 
 
 def test_pile_steps_invariant():
@@ -122,6 +147,136 @@ def test_overlap_at_ten_widths():
     tiny = build_pile(build([("MIN", 0, 1), ("MAX", 0, 1)]))
     with pytest.raises(LayoutOverlap):
         check_fold_lines(tiny, LayoutConfig(width=Fraction(1, 2), epsilon=5))
+
+
+def _piles(family):
+    if family == "corpus":
+        diagrams = [(e.name, e.diagram) for e in bundled_table()]
+    elif family == "ladder":
+        diagrams = [(f"ladder_c{c}", ladder(c)) for c in (8, 16, 20, 24, 32)]
+    else:
+        diagrams = random_closures(seed=12, count=20, max_crossings=12)
+        diagrams += random_closures(seed=1320, count=12, max_crossings=20,
+                                    min_crossings=13)
+    piles, stuck = [], 0
+    for name, d in diagrams:
+        try:
+            piles.append((name, build_pile(run_pipeline(d).normal)))
+        except RewriteError:
+            stuck += 1  # the stuck normalizations of ROADMAP item 1
+    return piles, stuck
+
+
+@pytest.mark.parametrize("family", ["corpus", "ladder", "randbraids"])
+def test_bucketed_check_matches_all_pairs_on_piles(family):
+    piles, stuck = _piles(family)
+    assert stuck <= (5 if family == "randbraids" else 0), family
+    for name, s in piles:
+        budget = Fraction(1, max(_wing_gaps(s)) + 2)
+        for eps in (default_epsilon(s), budget - Fraction(1, 10**9)):
+            cfg = LayoutConfig(epsilon=eps)
+            assert check_fold_lines(s, cfg) == reference_check_fold_lines(s, cfg), name
+        # at the budget itself the fold-back guard fires first, in both
+        cfg = LayoutConfig(epsilon=budget)
+        with pytest.raises(LayoutOverlap) as got:
+            check_fold_lines(s, cfg)
+        with pytest.raises(LayoutOverlap) as want:
+            reference_check_fold_lines(s, cfg)
+        assert str(got.value) == str(want.value), name
+
+
+def _seg(xa, ya, xb, yb):
+    return ((Fraction(xa), Fraction(ya)), (Fraction(xb), Fraction(yb)))
+
+
+H = Fraction(1, 2)
+
+# (segments, the lowest pair that meets)
+MEETING_CASES = [
+    ([_seg(0, 0, 1, 1), _seg(0, 1, 1, 0)], (0, 1)),                 # crossing diagonals
+    ([_seg(0, 0, 1, 1), _seg(1, 1, 2, 0)], (0, 1)),                 # shared endpoint
+    ([_seg(0, 0, 2, 2), _seg(1, 1, 3, 3)], (0, 1)),                 # collinear overlap
+    ([_seg(0, 0, 2, 0), _seg(1, 0, 1, 1)], (0, 1)),                 # T-touch
+    ([_seg(1, 1, 2, 1), _seg(2, 0, 2, 3)], (0, 1)),                 # T-touch on x = 2
+    ([_seg(-3, -1, -2, 0), _seg(-2, 0, -1, -1)], (0, 1)),           # endpoint on x = -2
+    ([_seg(0, -5, 1, -4), _seg(1, -4, 2, -5)], (0, 1)),             # endpoint on y = -4
+    ([_seg(-2, -2, -1, -1), _seg(-4, 0, -2, -2)], (0, 1)),          # corner of four cells
+    ([_seg(0, 0, 10, 0), _seg(9, -1, 9, 1)], (0, 1)),               # far from both starts
+    ([_seg(-5, -5, 5, 5), _seg(4, -4, -4, 4)], (0, 1)),             # long diagonals
+    ([_seg(5, 5, 6, 6), _seg(0, 0, 1, 1), _seg(1, 0, 0, 1)], (1, 2)),
+    # (0, 2) meets in segment 0's first cell, the lower (0, 1) in its second
+    ([_seg(0, 0, 3, 0), _seg(2 + H, -H, 2 + H, H), _seg(H, -H, H, H)], (0, 1)),
+    # two meeting pairs in cells far apart
+    ([_seg(0, 0, 1, 1), _seg(4, 4, 5, 5), _seg(4, 5, 5, 4), _seg(1, 0, 0, 1)], (0, 3)),
+]
+
+DISJOINT_CASES = [
+    [_seg(0, 0, 1, 1), _seg(0, Fraction(1, 1000), 1, 1 + Fraction(1, 1000))],
+    [_seg(0, 0, 2, 0), _seg(2 + Fraction(1, 10**9), -1, 2 + Fraction(1, 10**9), 1)],
+    [_seg(-2, 0, -1, 1), _seg(-1 + Fraction(1, 10**9), 1, 0, 0)],
+    [_seg(0, 0, 1, 1), _seg(2, 2, 3, 3), _seg(1, 2, 2, 1 + Fraction(1, 10**9))],
+    [],
+    [_seg(0, 0, 1, 1)],
+]
+
+
+def _random_segments(rng, n):
+    # endpoints on the half-integer lattice in [-6, 6]^2, at most one
+    # unit apart in each coordinate; zero-length segments included
+    segs = []
+    for _ in range(n):
+        x, y = (Fraction(rng.randint(-12, 12), 2) for _ in range(2))
+        dx, dy = (Fraction(rng.randint(-2, 2), 2) for _ in range(2))
+        segs.append(((x, y), (x + dx, y + dy)))
+    return segs
+
+
+def _check_message(monkeypatch, segs, want):
+    monkeypatch.setattr(layout, "_fold_segments", lambda s, geo: list(segs))
+    if want is None:
+        assert check_fold_lines(EMPTY) == list(segs)
+    else:
+        with pytest.raises(LayoutOverlap) as e:
+            check_fold_lines(EMPTY)
+        assert str(e.value) == (
+            f"fold lines {want[0]} and {want[1]} intersect at epsilon 1/100")
+
+
+def test_first_meeting_pair_on_hand_made_segments(monkeypatch):
+    cases = MEETING_CASES + [(segs, None) for segs in DISJOINT_CASES]
+    for segs, want in cases:
+        assert reference_first_meeting_pair(segs) == want, segs
+        assert _first_meeting_pair(segs) == want, segs
+        _check_message(monkeypatch, segs, want)
+
+
+def test_first_meeting_pair_on_random_segments(monkeypatch):
+    rng = random.Random(6)
+    outcomes = set()
+    for _ in range(300):
+        segs = _random_segments(rng, rng.randint(2, 12))
+        want = reference_first_meeting_pair(segs)
+        assert _first_meeting_pair(segs) == want, segs
+        _check_message(monkeypatch, segs, want)
+        outcomes.add(want if want is None else want != (0, 1))
+    # the draws reach disjoint lists, (0, 1) and later pairs
+    assert outcomes == {None, False, True}
+
+
+def test_fold_line_check_scales_linearly(monkeypatch):
+    s = build_pile(run_pipeline(ladder(80)).normal)
+    calls = []
+    meet = layout._segments_meet
+
+    def counted(s1, s2):
+        calls.append(1)
+        return meet(s1, s2)
+
+    monkeypatch.setattr(layout, "_segments_meet", counted)
+    segs = check_fold_lines(s, LayoutConfig(epsilon=default_epsilon(s)))
+    assert len(segs) == 405
+    # all pairs would be 405 * 404 / 2 = 81810 calls
+    assert 0 < len(calls) < len(segs)
 
 
 def test_emit_svg_deterministic():
