@@ -123,8 +123,9 @@ def pile_steps(planes: Sequence[PaperPlane]) -> Iterator[Tuple[Col, ...]]:
     After k insertions the pile must hold exactly 2k wings, and a new
     plane may bracket either nothing (both wings drop into one insertable
     space) or exactly the wing it crosses (one wing lands on each side).
-    Slots are rationals, so an insertable space always remains between
-    consecutive wings.
+    Slots are the normal form's integer columns, numbered in the final
+    left-to-right wing order, so a wing that a later plane drops between
+    two earlier ones already has its slot between theirs.
     """
     wings: Tuple[Col, ...] = ()
     for k, p in enumerate(planes, start=1):

@@ -11,8 +11,9 @@ Conventions used throughout:
   data of the original diagram is realized by choosing which strand
   becomes the horizontal one.
 * Column coordinates are exact rationals during construction (so fresh
-  columns can always be squeezed between existing ones) and are compressed
-  to integers for serialization.
+  columns can always be squeezed between existing ones). Expanded grids
+  are compressed to integers, and normalized grids are renumbered to
+  integers in their final left-to-right strand order.
 
 All types are immutable value objects; transformations return new values.
 """

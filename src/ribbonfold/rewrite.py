@@ -1,21 +1,28 @@
 """Rewriting a binary grid into normal form.
 
 Normal form is a stack of cups (crossed or plain) followed by plain
-caps. Two families of moves get there: ``convert_block`` replaces a
-sideways or crossed-cap row by cup-and-cap pairs, and ``switch_adjacent``
-floats a plain cap above a cup born just over it, re-routing the cup's
-legs through safe gaps when the two interfere. Every move is a planar
-isotopy of the presented link.
-
-Moves are validated locally: ``check_bgd`` checks only the rows a move
-changed, against the move's valid input grid. ``normalize`` runs the
-full check on its input and on its output.
+caps. ``convert_block`` first replaces each sideways or crossed-cap row
+by cup-and-cap pairs; each such move is checked only on the rows it
+changed, against its valid input grid. The caps are then raised at the
+level of strand order. The rows become events on strand identities: a
+cup births two strands around the strand it crosses or just left of a
+neighbour strand, and a cap closes two strands. Raising every cap past
+every cup above it, one planar isotopy per swap, ends with all cups in
+their order followed by all caps in theirs, and that order always
+replays: a cup born above a cap can be born below it next to the same
+neighbour. Replaying it on one ordered strand list gives each strand an
+integer column, by a topological sort of the left-of relation between
+strands that are ever adjacent. ``normalize`` runs the full check on
+its input and on its output.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .model import (
     BinaryGridDiagram,
@@ -27,7 +34,6 @@ from .model import (
     check_bgd,
     column_values,
     make_row,
-    map_columns,
 )
 
 __all__ = [
@@ -57,11 +63,6 @@ def _convertible(r: Row) -> bool:
     """A sideways row or a crossed cap: the rows ``convert_block`` replaces."""
     return r.shape is Shape.TRANS or (
         r.shape is Shape.MAX and r.crossed_column is not None)
-
-
-def _plain_cap(r: Row) -> bool:
-    """A cap over no crossing: the rows ``switch_adjacent`` floats up."""
-    return r.shape is Shape.MAX and r.crossed_column is None
 
 
 def is_normal_form(g: BinaryGridDiagram) -> bool:
@@ -144,154 +145,115 @@ def convert_block(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
     return _checked(rows, g)
 
 
-_CASCADE_DEPTH = 24
 
 
-def _alive(rows: Sequence[Row], j: int, v: Col) -> Tuple[int, int]:
-    """The row range [a, e] over which column v stays open, v open at j."""
-    if v not in rows[j].columns_below:
-        raise RewriteError(f"column {v} is not open at row {j}")
-    a = j
-    while a > 0 and v in rows[a - 1].columns_below:
-        a -= 1
-    e = j
-    while e + 1 < len(rows) and v in rows[e + 1].columns_below:
-        e += 1
-    if v in rows[e].columns_above:
-        raise RewriteError(f"column {v} never consumed above row {j}")
-    return a, e
+# A cup event (p, q, crossed, anchor) births the strands p and q around
+# the strand ``crossed`` or, over no crossing, just left of the strand
+# ``anchor`` (None: at the right end). A cap event (l1, l2) closes the
+# adjacent strands l1 and l2. Strands are numbered by birth, bottom to
+# top and left to right within a cup, so ids survive reordering caps.
+Event = Tuple[Optional[int], ...]
 
 
-def _rename_span(rows: List[Row], j: int, old: Col, new: Col) -> None:
-    """Move the open column ``old`` to value ``new`` over its lifetime.
-
-    Legal only while no other strand ever sits between the two values:
-    then the whole vertical segment slides sideways without crossing
-    anything, a planar isotopy. Mutates ``rows`` in place.
-    """
-    a, e = _alive(rows, j, old)
-    if a == 0:
-        raise RewriteError(f"column {old} has no birth row")
-    lo, hi = min(old, new), max(old, new)
-    for k in range(a, e + 1):
-        for v in rows[k].columns_below:
-            if v == new or (v != old and lo < v < hi):
-                raise NotSwitchable(
-                    f"column {old} is pinned by {v} and cannot move to {new}")
-
-    # nothing sits between old and new, so every column list stays sorted
-    def sub(c: Col) -> Col:
-        return new if c == old else c
-
-    for k in range(a - 1, e + 1):
-        rows[k] = map_columns(rows[k], sub)
-
-
-def _fresh_near(lo: Col, hi: Col, used: Set[Col], near_hi: bool) -> Fraction:
-    """A fresh value in (lo, hi), biased toward one end so that the
-    sweep of a sliding strand stays as short as possible."""
-    anchor = Fraction(hi if near_hi else lo)
-    other = Fraction(lo if near_hi else hi)
-    v = (3 * anchor + other) / 4
-    while v in used:
-        v = (v + anchor) / 2
-    return v
-
-
-def _make_way(rows: List[Row], a: int, e: int, old: Col, new: Col,
-              used: Set[Col], frozen: Set[Col], depth: int,
-              log: Dict[Col, Col]) -> None:
-    """Push every strand out of the sweep between old and new."""
-    s_lo, s_hi = (new, old) if new < old else (old, new)
-    while True:
-        hit: Optional[Tuple[int, Col]] = None
-        for k in range(a, e + 1):
-            for v in rows[k].columns_below:
-                if v != old and s_lo < v < s_hi:
-                    hit = (k, v)
-                    break
-            if hit is not None:
-                break
-        if hit is None:
-            return
-        k, v = hit
-        if v in frozen:
-            raise NotSwitchable(f"column {old} is pinned by {v}")
-        if new < old:
-            _slide(rows, k, v, new - 2, new, used, frozen, depth - 1, log)
+def _events(g: BinaryGridDiagram) -> List[Event]:
+    """The rows of ``g``, each a cup or a plain cap, as events."""
+    strand: Dict[Col, int] = {}
+    born = 0
+    out: List[Event] = []
+    for r in g.rows:
+        a, b = r.extent
+        if r.shape is Shape.MAX:
+            out.append((strand.pop(a), strand.pop(b)))
+            continue
+        strand[a], strand[b] = born, born + 1
+        if r.crossed_column is not None:
+            out.append((born, born + 1, strand[r.crossed_column], None))
         else:
-            _slide(rows, k, v, new, new + 2, used, frozen, depth - 1, log)
+            above = r.columns_above
+            k = bisect.bisect_right(above, b)
+            out.append((born, born + 1, None,
+                        strand[above[k]] if k < len(above) else None))
+        born += 2
+    return out
 
 
-def _slide(rows: List[Row], j: int, old: Col, lo: Col, hi: Col,
-           used: Set[Col], frozen: Set[Col], depth: int = _CASCADE_DEPTH,
-           log: Optional[Dict[Col, Col]] = None) -> Col:
-    """Slide the strand ``old`` (open at row j) into the window (lo, hi).
+def _columns(events: List[Event]) -> Dict[int, int]:
+    """Columns 1, 2, ... for the strands of ``events`` replayed in order.
 
-    Strands standing between the strand and its target are recursively
-    pushed just past the target first, so a whole family of columns may
-    shift to make room. Every individual move is corridor-checked, so
-    the net effect is a composition of planar isotopies. Returns the
-    final value (``old`` itself when it already sits in the window).
-    Every rename, including cascade renames of bystander columns, is
-    recorded in ``log`` so callers can re-resolve values they captured
-    before the slide.
+    The strands are kept in one left-to-right list; every pair that is
+    adjacent at some height gives a left-of edge, and Kahn's sort of
+    those edges, ties to the smallest id, numbers the strands. The
+    relation is acyclic: strand lifetimes are intervals, so strands that
+    pairwise coexist all coexist at one height, where they are ordered.
     """
-    if log is None:
-        log = {}
-    if not lo < hi:
-        raise NotSwitchable(f"no room between {lo} and {hi}")
-    if lo < old < hi:
-        return old
-    if depth <= 0:
-        raise NotSwitchable("re-route cascade ran too deep")
-    a, e = _alive(rows, j, old)
-    leftward = hi <= old
-    last: Optional[NotSwitchable] = None
-    for _ in range(4):
-        new = _fresh_near(lo, hi, used, near_hi=leftward)
-        used.add(new)
-        try:
-            _make_way(rows, a, e, old, new, used, frozen, depth, log)
-            _rename_span(rows, j, old, new)
-            log[old] = new
-            return new
-        except NotSwitchable as err:
-            # a shorter sweep may dodge the obstacle; creep toward the
-            # near end of the window and try again
-            last = err
-            if leftward:
-                lo = new
+    order: List[int] = []
+    right_of: Dict[int, Set[int]] = {}
+    for ev in events:
+        if len(ev) == 2:
+            l1, l2 = ev
+            lo = hi = order.index(l1)
+            assert order[lo + 1:lo + 2] == [l2], f"cap on {l1}, {l2}: not adjacent"
+            del order[lo:lo + 2]
+        else:
+            p, q, x, anchor = ev
+            right_of[p], right_of[q] = set(), set()
+            if x is not None:
+                lo = order.index(x)
+                order[lo:lo + 1] = [p, x, q]
+                hi = lo + 3
             else:
-                hi = new
-    assert last is not None
-    raise last
+                lo = len(order) if anchor is None else order.index(anchor)
+                order[lo:lo] = [p, q]
+                hi = lo + 2
+        # the pairs that became adjacent around order[lo:hi]
+        for k in range(max(lo - 1, 0), min(hi, len(order) - 1)):
+            right_of[order[k]].add(order[k + 1])
+
+    indegree = Counter(w for succ in right_of.values() for w in succ)
+    ready = [v for v in right_of if not indegree[v]]
+    heapq.heapify(ready)
+    col: Dict[int, int] = {}
+    while ready:
+        v = heapq.heappop(ready)
+        col[v] = len(col) + 1
+        for w in right_of[v]:
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                heapq.heappush(ready, w)
+    assert len(col) == len(right_of), "the left-of relation has a cycle"
+    return col
 
 
-def _current(log: Dict[Col, Col], v: Col) -> Col:
-    """Follow ``v`` through recorded renames to its present value."""
-    while v in log:
-        v = log[v]
-    return v
+def _rows(events: List[Event]) -> List[Row]:
+    """The grid rows of ``events``, on the columns of ``_columns``."""
+    col = _columns(events)
+    rows: List[Row] = []
+    below: Tuple[Col, ...] = ()
+    for ev in events:
+        if len(ev) == 2:
+            row = make_row(Shape.MAX, col[ev[0]], col[ev[1]], None, below)
+        else:
+            p, q, x, _ = ev
+            row = make_row(Shape.MIN, col[p], col[q],
+                           None if x is None else col[x], below)
+        rows.append(row)
+        below = row.columns_above
+    return rows
 
 
 def switch_adjacent(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
-    """Float the plain cap at row i above the row at i + 1.
+    """Float the plain cap at row i above the cup at row i + 1.
 
-    A cap under another cap is already fine (no-op). A cap under a cup
-    swaps directly when their spans are disjoint; otherwise the cup is
-    reborn below the cap with its legs re-routed: hugging its crossed
-    column, or into the first free gap right of the cap (falling back
-    to the gap on the left). When the cup's legs are pinned by strands
-    above, the cap's own strands slide sideways out of the cup's span
-    instead. Raises NotSwitchable when every re-route would drag some
-    column across a live strand. ``g`` must be a valid grid: the result
-    is checked only where it differs from ``g``.
+    A cap under another cap is already fine (no-op). Otherwise the cup
+    is reborn just below the cap, around the same crossed strand or just
+    left of the same neighbour strand, and the columns are renumbered as
+    in ``normalize``. Every row of ``g`` must be a cup or a plain cap.
+    ``g`` must be a valid grid; every row of the result is checked.
     """
     if not 0 <= i < len(g.rows) - 1:
         raise IndexError(f"no adjacent pair at row {i}")
     low, high = g.rows[i], g.rows[i + 1]
-    if not _plain_cap(low):
+    if low.shape is not Shape.MAX or low.crossed_column is not None:
         raise NotSwitchable(f"lower row is {low.block_type.name}, not a plain cap")
     if high.shape is Shape.MAX:
         if high.crossed_column is None:
@@ -299,98 +261,12 @@ def switch_adjacent(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
         raise NotSwitchable("convert the crossed cap above first")
     if high.shape is Shape.TRANS:
         raise NotSwitchable("convert the sideways row above first")
+    if any(_convertible(r) for r in g.rows):
+        raise NotSwitchable("convert every sideways and crossed-cap row first")
 
-    l1, l2 = low.extent
-    m1, m2 = high.extent
-    s = low.columns_below
-    rows = list(g.rows)
-
-    if l2 < m1 or m2 < l1:
-        rows[i] = make_row(Shape.MIN, m1, m2, high.crossed_column, s)
-        rows[i + 1] = make_row(Shape.MAX, l1, l2, None, rows[i].columns_above)
-        return _checked(rows, g)
-
-    c = high.crossed_column
-    pred_c = max((v for v in s if c is not None and v < c), default=None)
-    succ_c = min((v for v in s if c is not None and v > c), default=None)
-    g0 = min((v for v in s if v > l2), default=l2 + 2)
-    g1 = max((v for v in s if v < l1), default=l1 - 2)
-    plans = ["hug"] if c is not None else ["right", "left"]
-    # fallbacks when the cup's legs are pinned: slide the cap's own
-    # strands out of the cup's span instead
-    l1_in = m1 <= l1 <= m2
-    l2_in = m1 <= l2 <= m2
-    if l1_in and l2_in:
-        plans += ["cap_left", "cap_right"]
-    elif l2_in:
-        plans += ["cap_l2_left"]
-    elif l1_in:
-        plans += ["cap_l1_right"]
-    else:
-        plans += ["cap_l2_left", "cap_l1_right"]
-
-    last_err: Optional[NotSwitchable] = None
-    for plan in plans:
-        cand = list(g.rows)
-        used = column_values(g.rows)
-        legs = (m1, m2)
-        ends = (l1, l2)
-        keep = set(s)
-        # cascades may rename the sibling column while the first one
-        # slides, so the second slide re-resolves through the log
-        moved: Dict[Col, Col] = {}
-        try:
-            if plan == "hug":
-                # keep the legs flanking the crossed column
-                q_new = _slide(cand, i + 2, m2, c,
-                               succ_c if succ_c is not None else m2 + 2,
-                               used, keep, log=moved)
-                p = _current(moved, m1)
-                p_new = _slide(cand, i + 2, p,
-                               pred_c if pred_c is not None else min(p, c) - 2,
-                               c, used, keep | {q_new}, log=moved)
-                legs = (p_new, q_new)
-            elif plan == "right":
-                # rebirth in the free gap right of the cap
-                q_new = _slide(cand, i + 2, m2, l2, g0, used, keep, log=moved)
-                p_new = _slide(cand, i + 2, _current(moved, m1), l2, q_new,
-                               used, keep | {q_new}, log=moved)
-                legs = (p_new, q_new)
-            elif plan == "left":
-                # or in the free gap left of it
-                p_new = _slide(cand, i + 2, m1, g1, l1, used, keep, log=moved)
-                q_new = _slide(cand, i + 2, _current(moved, m2), p_new, l1,
-                               used, keep | {p_new}, log=moved)
-                legs = (p_new, q_new)
-            elif plan == "cap_l2_left":
-                hold = (keep - {l2}) | {m1, m2}
-                v2 = _slide(cand, i, l2, l1, m1, used, hold)
-                ends = (l1, v2)
-            elif plan == "cap_l1_right":
-                hold = (keep - {l1}) | {m1, m2}
-                v1 = _slide(cand, i, l1, m2, l2, used, hold)
-                ends = (v1, l2)
-            elif plan == "cap_left":
-                hold = (keep - {l1, l2}) | {m1, m2}
-                v1 = _slide(cand, i, l1, m1 - 2, m1, used, hold, log=moved)
-                v2 = _slide(cand, i, _current(moved, l2), v1, m1,
-                            used, hold | {v1}, log=moved)
-                ends = (v1, v2)
-            else:
-                hold = (keep - {l1, l2}) | {m1, m2}
-                v2 = _slide(cand, i, l2, m2, l2 + 2, used, hold, log=moved)
-                v1 = _slide(cand, i, _current(moved, l1), m2, v2,
-                            used, hold | {v2}, log=moved)
-                ends = (v1, v2)
-        except NotSwitchable as e:
-            last_err = e
-            continue
-        cand[i] = make_row(Shape.MIN, legs[0], legs[1], c, cand[i].columns_below)
-        cand[i + 1] = make_row(Shape.MAX, ends[0], ends[1], None,
-                               cand[i].columns_above)
-        return _checked(cand, g)
-    assert last_err is not None
-    raise last_err
+    events = _events(g)
+    events[i], events[i + 1] = events[i + 1], events[i]
+    return _checked(_rows(events), g)
 
 
 def normalize(
@@ -399,13 +275,19 @@ def normalize(
 ) -> BinaryGridDiagram:
     """Rewrite an arbitrary grid into normal form.
 
-    First converts every sideways and crossed-cap row bottom to top,
-    then bubbles the plain caps above the cups. The counted blocks
-    (everything except plain caps) are conserved, so afterwards
-    B1 + B1r equals the old B1 + B2 + B3 + B1r + B2r. The input and the
-    result each get one full ``check_bgd``; RewriteError if either fails.
+    A grid already in normal form comes back as it is. Otherwise every
+    sideways and crossed-cap row is converted bottom to top, and the
+    events of the result are replayed with all cups before all caps.
+    The counted blocks (everything except plain caps) are conserved, so
+    afterwards B1 + B1r equals the old B1 + B2 + B3 + B1r + B2r. The
+    input and the result each get one full ``check_bgd``; RewriteError
+    if either fails. With ``trace``, each step is appended as it is
+    built: one grid per convert, then one per cap raised past a cup,
+    always the lowest such pair; the last of those equals the result.
     """
     _require(check_bgd(g), "normalize was given an invalid grid")
+    if is_normal_form(g):
+        return g
     i = 0
     while i < len(g.rows):
         r = g.rows[i]
@@ -416,27 +298,18 @@ def normalize(
         else:
             i += 1
 
-    while True:
-        pairs = [
-            j for j in range(len(g.rows) - 1)
-            if _plain_cap(g.rows[j]) and g.rows[j + 1].shape is Shape.MIN
-        ]
-        if not pairs:
-            break
-        progressed = False
-        for j in pairs:
-            try:
-                g = switch_adjacent(g, j)
-            except NotSwitchable:
-                continue
-            if trace is not None:
-                trace.append((f"raise cap past row {j + 1}", g))
-            progressed = True
-            break
-        if not progressed:
-            raise RewriteError("no cap can move; normalization is stuck")
-
-    _require(check_bgd(g), "normalization produced an invalid grid")
-    if not is_normal_form(g):
+    # a stable sort by length: every cup, in order, before every cap
+    out = BinaryGridDiagram(tuple(_rows(sorted(_events(g), key=len, reverse=True))))
+    _require(check_bgd(out), "normalization produced an invalid grid")
+    if not is_normal_form(out):
         raise RewriteError("normalization finished off normal form")
-    return g
+
+    j = 0
+    while trace is not None and j < len(g.rows) - 1:
+        if g.rows[j].shape is Shape.MAX and g.rows[j + 1].shape is Shape.MIN:
+            g = switch_adjacent(g, j)
+            trace.append((f"raise cap past row {j + 1}", g))
+            j = max(j - 1, 0)  # the next lowest pair is no lower than j - 1
+        else:
+            j += 1
+    return out

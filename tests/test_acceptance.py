@@ -37,7 +37,7 @@ from ribbonfold.leveling import (
     optimize_flips,
 )
 from ribbonfold.model import check_bgd
-from ribbonfold.rewrite import RewriteError, is_normal_form, normalize
+from ribbonfold.rewrite import is_normal_form, normalize
 
 from ladder import ladder
 from randbraids import random_closures
@@ -184,23 +184,11 @@ def test_jones_preserved_at_every_stage(corpus):
     assert mismatches == []
 
 
-# Closures on 3-5 strands at c = 13-20. The stuck ones hit the incomplete
-# cap-raising search in rewrite.normalize (ROADMAP item 2).
-_STUCK = {"s3_c13_4", "s4_c19_7", "s3_c15_8"}
-
-
+# Closures on 3-5 strands at c = 13-20.
 @pytest.mark.parametrize(
     "name, d",
     [
-        pytest.param(
-            name,
-            d,
-            id=name,
-            marks=[pytest.mark.xfail(
-                raises=RewriteError, strict=True,
-                reason="normalization is stuck (ROADMAP item 2)",
-            )] if name in _STUCK else [],
-        )
+        pytest.param(name, d, id=name)
         for name, d in random_closures(
             seed=1320, count=12, max_crossings=20, min_crossings=13
         )

@@ -190,6 +190,33 @@ def test_verify_ladder_above_fourteen_crossings(tmp_path, capsys):
     assert report["ok"] is True
 
 
+def _benchmark_closure(name):
+    from randbraids import STUCK_9, random_braid_family
+
+    if name == "stuck_c09":
+        return STUCK_9
+    # slot 12 of the random_braids workload (RANDOM_SLOTS in bench/run.py)
+    slots = tuple((3 + c % 3, c) for c in range(10, 23))
+    return random_braid_family(0, slots)[12][3]
+
+
+@pytest.mark.parametrize("name, certified", [("stuck_c09", 20), ("rand12_c22_n4", 48)])
+def test_benchmark_closures_once_stuck(name, certified, tmp_path, capsys):
+    # the random_braids closures that normalization once left stuck (exit 3)
+    p = tmp_path / f"{name}.pd"
+    p.write_text(_benchmark_closure(name) + "\n")
+    assert run_command(["bound", str(p)]) == 0
+    assert _json_out(capsys)["certified_bound"] == certified
+    svg, sched = tmp_path / "out.svg", tmp_path / "out.json"
+    assert run_command(["layout", str(p), "-o", str(svg), "--schedule", str(sched)]) == 0
+    assert 2 * _json_out(capsys)["planes"] == certified
+    doc = json.loads(sched.read_text())
+    slots = [v for plane in doc["planes"] for v in plane["insertion"]]
+    assert sorted(map(int, slots)) == list(range(1, certified + 1))
+    assert run_command(["verify", str(p), "--per-step"]) == 0
+    assert _json_out(capsys)["ok"] is True
+
+
 def test_table_preserves_row_order(tmp_path, capsys):
     src = tmp_path / "in.csv"
     with open(src, "w", newline="") as fh:

@@ -5,11 +5,11 @@ from dataclasses import replace
 
 import pytest
 
-from ribbonfold.expand import build_bgd
+from ribbonfold.expand import build_bgd, compress_columns
 from ribbonfold.ingest import bundled_table
 from ribbonfold.invariants import bgd_to_pd, jones_fingerprint
 from ribbonfold.leveling import find_leveling, optimize_flips
-from ribbonfold.model import BinaryGridDiagram, check_bgd
+from ribbonfold.model import BinaryGridDiagram, RoutingError, Shape, check_bgd
 from ribbonfold.rewrite import (
     NotConvertible,
     NotSwitchable,
@@ -22,6 +22,7 @@ from ribbonfold.rewrite import (
 
 from grids import build
 from ladder import ladder
+from randbraids import random_closures
 from randgrids import iter_readable_grids, make_random_grid
 
 
@@ -93,7 +94,8 @@ def test_switch_overlapping_crossed_cup():
     out = switch_adjacent(g, 2)
     assert check_bgd(out) == []
     assert is_normal_form(out)
-    assert out.rows[2].crossed_column == 20
+    # columns are renumbered; the cup still crosses row 0's right leg
+    assert out.rows[2].crossed_column == out.rows[0].extent[1]
     assert _fp(out) == _fp(g)
 
 
@@ -123,6 +125,12 @@ def test_switch_guards():
             ("MIN", 1, 3), ("MIN", 2, 4, 3), ("MIN", 5, 6),
             ("MAX", 5, 6), ("MAX", 1, 3, 2), ("MAX", 2, 4),
         ]), 3)
+    # a sideways row anywhere else must be converted first, too
+    with pytest.raises(NotSwitchable, match="convert every"):
+        switch_adjacent(build([
+            ("MIN", 1, 2), ("MAX", 1, 2), ("MIN", 5, 6),
+            ("TRANS", 6, 7), ("MAX", 5, 7),
+        ]), 1)
 
 
 def test_normalize_corpus():
@@ -173,6 +181,60 @@ def test_normalize_survives_cascade_renames():
         assert is_normal_form(ng)
         assert check_bgd(ng) == []
         assert _fp(ng) == _fp(g), seed
+
+
+def test_normalize_large_random_grids():
+    # 200 seeded grids at c = 6-23: every one reaches normal form with its
+    # counted blocks conserved, and the oracle agrees wherever the grid
+    # reads back as a diagram
+    readable = 0
+    for seed in range(200):
+        g = make_random_grid(random.Random(seed), max_crossings=30, body_ops=40)
+        ng = normalize(g)
+        assert check_bgd(ng) == [], seed
+        assert is_normal_form(ng), seed
+        m = ng.block_multiset()
+        assert m["B1"] + m["B1r"] == _counted(g.block_multiset()), seed
+        try:
+            want = _fp(g)
+        except RoutingError:
+            continue
+        readable += 1
+        assert _fp(ng) == want, seed
+    assert readable == 10
+
+
+def _inversions(g):
+    """(cap, cup) row pairs with the cap below the cup."""
+    caps = n = 0
+    for r in g.rows:
+        if r.shape is Shape.MAX:
+            caps += 1
+        else:
+            n += caps
+    return n
+
+
+def test_trace_ends_at_the_fast_path_result():
+    # one raise step per cap below a cup, always the lowest pair, and the
+    # last step is the grid normalize returns without a trace (after a
+    # lone convert, as on L2a1, up to the integer renumbering)
+    diagrams = [(e.name, e.diagram) for e in bundled_table()]
+    diagrams += [(f"ladder c={c}", ladder(c)) for c in range(8, 33, 2)]
+    diagrams += random_closures(seed=12, count=20, max_crossings=12)
+    diagrams += random_closures(seed=1320, count=12, max_crossings=20,
+                                min_crossings=13)
+    for name, d in diagrams:
+        g = build_bgd(optimize_flips(find_leveling(d))[0])
+        fast = normalize(g)
+        trace = []
+        assert normalize(g, trace) == fast, name
+        converts = [step for desc, step in trace if desc.startswith("convert")]
+        raises = [step for desc, step in trace if desc.startswith("raise")]
+        assert len(converts) + len(raises) == len(trace), name
+        assert len(raises) == _inversions(converts[-1] if converts else g), name
+        last = trace[-1][1]
+        assert last == fast if raises else compress_columns(last) == fast, name
 
 
 def test_random_generator_is_deterministic():
