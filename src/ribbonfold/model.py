@@ -10,10 +10,11 @@ Conventions used throughout:
   segment always passes over any vertical strand it crosses. Over/under
   data of the original diagram is realized by choosing which strand
   becomes the horizontal one.
-* Column coordinates are exact rationals during construction (so fresh
-  columns can always be squeezed between existing ones). Expanded grids
-  are compressed to integers, and normalized grids are renumbered to
-  integers in their final left-to-right strand order.
+* Column coordinates are exact rationals only while ``expand`` routes
+  strands (so fresh columns can always be squeezed between existing
+  ones). Expanded grids are compressed to integers, and every grid the
+  rewrite builds is numbered 1, 2, ... in its left-to-right strand
+  order.
 
 All types are immutable value objects; transformations return new values.
 """
@@ -489,43 +490,31 @@ class BinaryGridDiagram:
         return out
 
 
-def check_bgd(
-    g: BinaryGridDiagram, prev: Optional[BinaryGridDiagram] = None
-) -> List[str]:
+def check_bgd(g: BinaryGridDiagram) -> List[str]:
     """Structural problems with a grid diagram (empty list if none).
 
-    With ``prev``, a valid grid that ``g`` was derived from, rows shared
-    with it (the same objects at the same offset from either end) are
-    skipped: only the rows between, their two seams and any zero-strand
-    end they reach are checked. That is as strict as the full check.
+    Each row is checked on its own (``check_row``), each pair of
+    neighbouring rows must agree on the columns between them, the grid
+    must start and end with zero strands, and the cups must match the
+    caps in number.
     """
     problems: List[str] = []
     rows = g.rows
     if not rows:
         return problems
-    lo, hi = 0, len(rows)  # the rows to check are rows[lo:hi]
-    if prev is not None:
-        old = prev.rows
-        shift = len(old) - len(rows)
-        while lo < min(hi, len(old)) and rows[lo] is old[lo]:
-            lo += 1
-        while hi > max(lo, lo - shift) and rows[hi - 1] is old[hi - 1 + shift]:
-            hi -= 1
-    if lo == 0 and rows[0].columns_below:
+    if rows[0].columns_below:
         problems.append("diagram does not start with zero strands")
-    if hi == len(rows) and rows[-1].columns_above:
+    if rows[-1].columns_above:
         problems.append("diagram does not end with zero strands")
-    for i in range(max(lo - 1, 0), hi):
-        if i >= lo:
-            for p in check_row(rows[i]):
-                problems.append(f"row {i}: {p}")
-        if i + 1 < len(rows) and rows[i].columns_above != rows[i + 1].columns_below:
+    for i, r in enumerate(rows):
+        for p in check_row(r):
+            problems.append(f"row {i}: {p}")
+        if i + 1 < len(rows) and r.columns_above != rows[i + 1].columns_below:
             problems.append(f"rows {i}/{i + 1}: column lists disagree")
-    if prev is None:
-        n_min = sum(1 for r in rows if r.shape is Shape.MIN)
-        n_max = sum(1 for r in rows if r.shape is Shape.MAX)
-        if n_min != n_max:
-            problems.append(f"{n_min} min rows vs {n_max} max rows")
+    n_min = sum(1 for r in rows if r.shape is Shape.MIN)
+    n_max = sum(1 for r in rows if r.shape is Shape.MAX)
+    if n_min != n_max:
+        problems.append(f"{n_min} min rows vs {n_max} max rows")
     return problems
 
 

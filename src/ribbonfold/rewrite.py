@@ -1,19 +1,18 @@
 """Rewriting a binary grid into normal form.
 
 Normal form is a stack of cups (crossed or plain) followed by plain
-caps. ``convert_block`` first replaces each sideways or crossed-cap row
-by cup-and-cap pairs; each such move is checked only on the rows it
-changed, against its valid input grid. The caps are then raised at the
-level of strand order. The rows become events on strand identities: a
-cup births two strands around the strand it crosses or just left of a
-neighbour strand, and a cap closes two strands. Raising every cap past
-every cup above it, one planar isotopy per swap, ends with all cups in
-their order followed by all caps in theirs, and that order always
-replays: a cup born above a cap can be born below it next to the same
-neighbour. Replaying it on one ordered strand list gives each strand an
-integer column, by a topological sort of the left-of relation between
-strands that are ever adjacent. ``normalize`` runs the full check on
-its input and on its output.
+caps. The rewrite works on the order of the strands, not on their
+columns: the rows become events on strand identities (see ``Event``),
+with each sideways row read as a cup plus a cap that closes the old
+strand and each crossed cap as a cup over the same strand plus two
+plain caps. Raising every cap past every cup above it, one planar
+isotopy per swap, then ends with all cups in their order followed by
+all caps in theirs, and that order always replays: a cup born above a
+cap can be born below it next to the same neighbour. Replaying events
+on one ordered strand list gives each strand an integer column, by a
+topological sort of the left-of relation between strands that are ever
+adjacent. ``normalize`` runs the full check on its input and on its
+output.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from collections import Counter
-from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Container, Dict, List, Optional, Set, Tuple
 
 from .model import (
     BinaryGridDiagram,
@@ -32,7 +30,6 @@ from .model import (
     Row,
     Shape,
     check_bgd,
-    column_values,
     make_row,
 )
 
@@ -78,136 +75,125 @@ def is_normal_form(g: BinaryGridDiagram) -> bool:
     return True
 
 
-def _fresh(lo: Col, hi: Col, used: Set[Col]) -> Fraction:
-    """A deterministic unused value strictly between lo and hi."""
-    x = Fraction(lo + hi, 2)
-    while x in used:
-        x = Fraction(lo + x, 2)
-    return x
-
-
 def _require(problems: List[str], what: str) -> None:
     if problems:
         raise RewriteError(f"{what}: " + "; ".join(problems))
 
 
-def _checked(rows: List[Row], prev: BinaryGridDiagram) -> BinaryGridDiagram:
-    """The grid of ``rows``, checked where it differs from the valid ``prev``."""
-    g = BinaryGridDiagram(tuple(rows))
-    _require(check_bgd(g, prev), "rewrite broke the grid")
-    return g
+# An event (shape, a, b, x, anchor) is one row on strand identities: a
+# cup (MIN) births the strands a and b, a cap (MAX) closes them, and a
+# sideways row (TRANS) ends strand a and births its continuation b. x is
+# the strand the row crosses, or None. A cup over x births a and b on
+# either side of it; every other birth is just left of the strand
+# ``anchor`` (None: at the right end), which puts a sideways row's new
+# strand beside the old one or beyond x, on the side it moves to.
+# Strands are numbered by birth, bottom to top and left to right within
+# a row, so ids survive reordering the events.
+Event = Tuple[Shape, int, int, Optional[int], Optional[int]]
 
 
-def convert_block(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
-    """Replace row i (a TRANS or crossed MAX) by cups and plain caps.
+def _events(g: BinaryGridDiagram, convert: Container[int] = ()) -> List[Event]:
+    """The rows of ``g`` as events, each row i in ``convert`` converted.
 
-    A sideways move becomes a fresh cup plus a cap swallowing the old
-    strand; a crossed cap becomes a fresh cup over the same vertical
-    plus two plain caps. The strand emerging above keeps its column, so
-    rows above row i are untouched. ``g`` must be a valid grid: the
-    result is checked only where it differs from ``g``.
+    A converted sideways row is a cup over the same strand, or just left
+    of the same neighbour, plus a cap closing the old strand with the
+    cup's near leg; the far leg goes on. A converted crossed cap is a cup
+    over the same strand plus a plain cap on each side of it.
     """
-    if not 0 <= i < len(g.rows):
-        raise IndexError(f"row {i} out of range")
-    r = g.rows[i]
-    if not _convertible(r):
-        raise NotConvertible(
-            f"row {i} is {r.block_type.name}; only B2, B2r and B3 convert")
-
-    used = column_values(g.rows)
-    s = r.columns_below
-    rows = list(g.rows)
-
-    if r.shape is Shape.TRANS:
-        lo, hi = r.extent
-        src, dst = (lo, hi) if r.end_kinds[0] is EndKind.DOWN else (hi, lo)
-        x = r.crossed_column
-        if x is None:
-            # plain sideways move: hairpin through a fresh column
-            p = _fresh(min(src, dst), max(src, dst), used)
-        elif src < dst:
-            p = _fresh(src, x, used)
-        else:
-            p = _fresh(x, src, used)
-        cup = make_row(Shape.MIN, p, dst, x, s)
-        cap = make_row(Shape.MAX, src, p, None, cup.columns_above)
-        rows[i:i + 1] = [cup, cap]
-    else:
-        a, b = r.extent
-        x = r.crossed_column
-        p = _fresh(a, x, used)
-        q = _fresh(x, b, used | {p})
-        cup = make_row(Shape.MIN, p, q, x, s)
-        cap1 = make_row(Shape.MAX, a, p, None, cup.columns_above)
-        cap2 = make_row(Shape.MAX, q, b, None, cap1.columns_above)
-        rows[i:i + 1] = [cup, cap1, cap2]
-
-    return _checked(rows, g)
-
-
-
-
-# A cup event (p, q, crossed, anchor) births the strands p and q around
-# the strand ``crossed`` or, over no crossing, just left of the strand
-# ``anchor`` (None: at the right end). A cap event (l1, l2) closes the
-# adjacent strands l1 and l2. Strands are numbered by birth, bottom to
-# top and left to right within a cup, so ids survive reordering caps.
-Event = Tuple[Optional[int], ...]
-
-
-def _events(g: BinaryGridDiagram) -> List[Event]:
-    """The rows of ``g``, each a cup or a plain cap, as events."""
     strand: Dict[Col, int] = {}
-    born = 0
+    n = 0  # the next strand id
     out: List[Event] = []
-    for r in g.rows:
-        a, b = r.extent
+    for i, r in enumerate(g.rows):
+        lo, hi = r.extent
+        x = None if r.crossed_column is None else strand[r.crossed_column]
         if r.shape is Shape.MAX:
-            out.append((strand.pop(a), strand.pop(b)))
+            a, b = strand.pop(lo), strand.pop(hi)
+            if x is None or i not in convert:
+                out.append((Shape.MAX, a, b, x, None))
+            else:
+                out += [(Shape.MIN, n, n + 1, x, None),
+                        (Shape.MAX, a, n, None, None),
+                        (Shape.MAX, n + 1, b, None, None)]
+                n += 2
             continue
-        strand[a], strand[b] = born, born + 1
-        if r.crossed_column is not None:
-            out.append((born, born + 1, strand[r.crossed_column], None))
+        # the column born at the row's right end (a cup's right leg, a
+        # sideways row's new end) and, where a birth needs it, the strand
+        # just right of that column
+        new = lo if r.end_kinds[1] is EndKind.DOWN else hi
+        anchor = None
+        if x is None or r.shape is Shape.TRANS:
+            k = bisect.bisect_right(r.columns_below, new)
+            anchor = strand[r.columns_below[k]] if k < len(r.columns_below) else None
+        if r.shape is Shape.MIN:
+            strand[lo], strand[hi] = n, n + 1
+            out.append((Shape.MIN, n, n + 1, x, anchor))
+            n += 2
+            continue
+        s = strand.pop(hi if new == lo else lo)
+        if i not in convert:
+            strand[new] = n
+            out.append((Shape.TRANS, s, n, x, anchor))
+            n += 1
+            continue
+        out.append((Shape.MIN, n, n + 1, x, anchor if x is None else None))
+        if new == hi:
+            out.append((Shape.MAX, s, n, None, None))
+            strand[new] = n + 1
         else:
-            above = r.columns_above
-            k = bisect.bisect_right(above, b)
-            out.append((born, born + 1, None,
-                        strand[above[k]] if k < len(above) else None))
-        born += 2
+            out.append((Shape.MAX, n + 1, s, None, None))
+            strand[new] = n
+        n += 2
     return out
 
 
 def _columns(events: List[Event]) -> Dict[int, int]:
     """Columns 1, 2, ... for the strands of ``events`` replayed in order.
 
-    The strands are kept in one left-to-right list; every pair that is
-    adjacent at some height gives a left-of edge, and Kahn's sort of
+    The strands are kept in one left-to-right list, where each event's
+    strands (with the one it crosses) are contiguous; every pair that is
+    adjacent at some moment gives a left-of edge, and Kahn's sort of
     those edges, ties to the smallest id, numbers the strands. The
     relation is acyclic: strand lifetimes are intervals, so strands that
     pairwise coexist all coexist at one height, where they are ordered.
     """
     order: List[int] = []
     right_of: Dict[int, Set[int]] = {}
-    for ev in events:
-        if len(ev) == 2:
-            l1, l2 = ev
-            lo = hi = order.index(l1)
-            assert order[lo + 1:lo + 2] == [l2], f"cap on {l1}, {l2}: not adjacent"
-            del order[lo:lo + 2]
-        else:
-            p, q, x, anchor = ev
-            right_of[p], right_of[q] = set(), set()
-            if x is not None:
-                lo = order.index(x)
-                order[lo:lo + 1] = [p, x, q]
-                hi = lo + 3
-            else:
-                lo = len(order) if anchor is None else order.index(anchor)
-                order[lo:lo] = [p, q]
-                hi = lo + 2
-        # the pairs that became adjacent around order[lo:hi]
+
+    def link(lo: int, hi: int) -> None:
+        """Record the adjacent pairs of order[lo - 1:hi + 1]."""
         for k in range(max(lo - 1, 0), min(hi, len(order) - 1)):
             right_of[order[k]].add(order[k + 1])
+
+    for shape, a, b, x, anchor in events:
+        if shape is Shape.MAX:
+            lo = order.index(a)
+            hi = lo + (2 if x is None else 3)
+            assert order[lo + 1:hi] == ([b] if x is None else [x, b]), (
+                f"cap on {a}, {b}: not adjacent")
+            del order[hi - 1], order[lo]
+            link(lo, hi - 2)
+            continue
+        right_of[b] = set()
+        if shape is Shape.TRANS:
+            # b is born beside a, or beyond x from it, so that a, x and b
+            # are adjacent for that moment; then a ends
+            lo = len(order) if anchor is None else order.index(anchor)
+            order.insert(lo, b)
+            j = order.index(a)
+            lo, hi = min(lo, j), max(lo, j) + 1
+            link(lo, hi)
+            del order[j]
+            link(lo, hi - 1)
+            continue
+        right_of[a] = set()
+        if x is None:
+            lo = len(order) if anchor is None else order.index(anchor)
+            order[lo:lo] = [a, b]
+            link(lo, lo + 2)
+        else:
+            lo = order.index(x)
+            order[lo:lo + 1] = [a, x, b]
+            link(lo, lo + 3)
 
     indegree = Counter(w for succ in right_of.values() for w in succ)
     ready = [v for v in right_of if not indegree[v]]
@@ -224,21 +210,35 @@ def _columns(events: List[Event]) -> Dict[int, int]:
     return col
 
 
-def _rows(events: List[Event]) -> List[Row]:
-    """The grid rows of ``events``, on the columns of ``_columns``."""
+def _grid(events: List[Event]) -> BinaryGridDiagram:
+    """The grid of ``events`` on the columns of ``_columns``, fully checked."""
     col = _columns(events)
     rows: List[Row] = []
     below: Tuple[Col, ...] = ()
-    for ev in events:
-        if len(ev) == 2:
-            row = make_row(Shape.MAX, col[ev[0]], col[ev[1]], None, below)
-        else:
-            p, q, x, _ = ev
-            row = make_row(Shape.MIN, col[p], col[q],
-                           None if x is None else col[x], below)
-        rows.append(row)
-        below = row.columns_above
-    return rows
+    for shape, a, b, x, _ in events:
+        rows.append(make_row(shape, col[a], col[b], None if x is None else col[x], below))
+        below = rows[-1].columns_above
+    g = BinaryGridDiagram(tuple(rows))
+    _require(check_bgd(g), "rewrite produced an invalid grid")
+    return g
+
+
+def convert_block(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
+    """Replace row i (a TRANS or crossed MAX) by cups and plain caps.
+
+    A sideways move becomes a cup plus a cap swallowing the old strand;
+    a crossed cap becomes a cup over the same vertical plus two plain
+    caps (see ``_events``). The other rows stay as they are, and the
+    columns are renumbered as in ``normalize``. ``g`` must be a valid
+    grid; the result gets the full check.
+    """
+    if not 0 <= i < len(g.rows):
+        raise IndexError(f"row {i} out of range")
+    r = g.rows[i]
+    if not _convertible(r):
+        raise NotConvertible(
+            f"row {i} is {r.block_type.name}; only B2, B2r and B3 convert")
+    return _grid(_events(g, (i,)))
 
 
 def switch_adjacent(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
@@ -248,7 +248,7 @@ def switch_adjacent(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
     is reborn just below the cap, around the same crossed strand or just
     left of the same neighbour strand, and the columns are renumbered as
     in ``normalize``. Every row of ``g`` must be a cup or a plain cap.
-    ``g`` must be a valid grid; every row of the result is checked.
+    ``g`` must be a valid grid; the result gets the full check.
     """
     if not 0 <= i < len(g.rows) - 1:
         raise IndexError(f"no adjacent pair at row {i}")
@@ -266,7 +266,7 @@ def switch_adjacent(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
 
     events = _events(g)
     events[i], events[i + 1] = events[i + 1], events[i]
-    return _checked(_rows(events), g)
+    return _grid(events)
 
 
 def normalize(
@@ -275,40 +275,39 @@ def normalize(
 ) -> BinaryGridDiagram:
     """Rewrite an arbitrary grid into normal form.
 
-    A grid already in normal form comes back as it is. Otherwise every
-    sideways and crossed-cap row is converted bottom to top, and the
-    events of the result are replayed with all cups before all caps.
-    The counted blocks (everything except plain caps) are conserved, so
-    afterwards B1 + B1r equals the old B1 + B2 + B3 + B1r + B2r. The
-    input and the result each get one full ``check_bgd``; RewriteError
-    if either fails. With ``trace``, each step is appended as it is
-    built: one grid per convert, then one per cap raised past a cup,
-    always the lowest such pair; the last of those equals the result.
+    A grid already in normal form comes back as it is. Otherwise the
+    rows are read as events with every sideways and crossed-cap row
+    converted, and the events are replayed with all cups before all
+    caps. The counted blocks (everything except plain caps) are
+    conserved, so afterwards B1 + B1r equals the old B1 + B2 + B3 + B1r
+    + B2r. The input and the result each get one full ``check_bgd``;
+    RewriteError if either fails. With ``trace``, each step is appended:
+    one grid per convert, bottom to top, with the rows below it
+    converted too, then one per cap raised past a cup, always the lowest
+    such pair; the last of those equals the result.
     """
     _require(check_bgd(g), "normalize was given an invalid grid")
     if is_normal_form(g):
         return g
-    i = 0
-    while i < len(g.rows):
-        r = g.rows[i]
-        if _convertible(r):
-            g = convert_block(g, i)
-            if trace is not None:
-                trace.append((f"convert {r.block_type.name} at row {i}", g))
-        else:
-            i += 1
-
-    # a stable sort by length: every cup, in order, before every cap
-    out = BinaryGridDiagram(tuple(_rows(sorted(_events(g), key=len, reverse=True))))
-    _require(check_bgd(out), "normalization produced an invalid grid")
+    events = _events(g, range(len(g.rows)))
+    # a stable sort: every cup, in order, before every cap
+    out = _grid(sorted(events, key=lambda ev: ev[0] is Shape.MAX))
     if not is_normal_form(out):
         raise RewriteError("normalization finished off normal form")
+    if trace is None:
+        return out
 
+    added = 0  # the rows that the converts so far added
+    for i, r in enumerate(g.rows):
+        if _convertible(r):
+            trace.append((f"convert {r.block_type.name} at row {i + added}",
+                          _grid(_events(g, range(i + 1)))))
+            added += 1 if r.shape is Shape.TRANS else 2
     j = 0
-    while trace is not None and j < len(g.rows) - 1:
-        if g.rows[j].shape is Shape.MAX and g.rows[j + 1].shape is Shape.MIN:
-            g = switch_adjacent(g, j)
-            trace.append((f"raise cap past row {j + 1}", g))
+    while j < len(events) - 1:
+        if events[j][0] is Shape.MAX and events[j + 1][0] is Shape.MIN:
+            events[j], events[j + 1] = events[j + 1], events[j]
+            trace.append((f"raise cap past row {j + 1}", _grid(events)))
             j = max(j - 1, 0)  # the next lowest pair is no lower than j - 1
         else:
             j += 1

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, JSON output, file emission."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -215,6 +216,47 @@ def test_benchmark_closures_once_stuck(name, certified, tmp_path, capsys):
     assert sorted(map(int, slots)) == list(range(1, certified + 1))
     assert run_command(["verify", str(p), "--per-step"]) == 0
     assert _json_out(capsys)["ok"] is True
+
+
+# plain sideways rows moving right (row 2) and left (row 4), crossed
+# sideways rows moving right (row 3) and left (row 5) and a crossed cap
+# (row 6); no diagram expands to a plain sideways row (EXPANSION_TABLE),
+# so only grid input reaches those conversions
+MIXED_BGD = """\
+MIN extent=[20,40] ends=(up,up)
+MIN X@40 extent=[30,60] ends=(up,up)
+TRANS extent=[60,70] ends=(down,up)
+TRANS X@40 extent=[30,50] ends=(down,up)
+TRANS extent=[10,20] ends=(up,down)
+TRANS X@50 extent=[45,70] ends=(up,down)
+MAX X@45 extent=[40,50] ends=(down,down)
+MAX extent=[10,45] ends=(down,down)
+"""
+
+
+def _sha(data):
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def test_mixed_grid_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    # digests recorded when rows were converted on rational columns
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mixed.bgd").write_text(MIXED_BGD)
+    assert run_command(["bound", "mixed.bgd"]) == 0
+    assert _sha(capsys.readouterr().out) == (
+        "eea9ff20d1355666bc0074742376e08c4e09009e99bfc58ce5f57ffb4f7f4eff")
+    assert run_command(["layout", "mixed.bgd", "-o", "mixed.svg",
+                        "--schedule", "mixed.json"]) == 0
+    assert _sha((tmp_path / "mixed.svg").read_bytes()) == (
+        "3f8a162ab21ca02e683a16747b022f6531ab1b90f48c6c589d7b92882f6cc2d9")
+    assert _sha((tmp_path / "mixed.json").read_bytes()) == (
+        "4f88cb83e862272d62f0208fd0ff4191be3c30eaba31b1be9d3fe42e4aeb1086")
+    capsys.readouterr()
+    assert run_command(["verify", "--per-step", "mixed.bgd"]) == 0
+    out = capsys.readouterr()
+    assert _sha(out.out) == (
+        "933cff3b47a779d8d07cfc4f261865ab196b2b3508a5b0a9cb831c1ee3881837")
+    assert "15 steps checked" in out.err
 
 
 def test_table_preserves_row_order(tmp_path, capsys):
