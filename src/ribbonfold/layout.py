@@ -10,6 +10,11 @@ it draws are checked for pairwise disjointness in exact arithmetic.
 The check tests only creases that share a 2 x 2 cell of the plane, a
 handful per crease, so its cost grows linearly with the pile.
 
+Every coordinate is a multiple of 1/D, D = lcm(20, 2q) for q the
+denominator of epsilon/w, and is held as an int count of 1/D, so the
+check compares ints and each pixel value is one correctly rounded
+int division.
+
 Geometry conventions for the schematic: one width unit = the ribbon
 width w; wings sit on a pitch-2 grid so every diagonal crease pair is
 separated by at least two units; plane bodies are 4 apart vertically and
@@ -25,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .invariants import bgd_to_pd
@@ -60,6 +66,8 @@ __all__ = [
 Num = Union[int, float, Fraction]
 Point = Tuple[Fraction, Fraction]
 Segment = Tuple[Point, Point]
+_Pt = Tuple[int, int]        # a point on the 1/unit lattice of _Geometry
+_Seg = Tuple[_Pt, _Pt]
 
 
 class NotNormalForm(RibbonfoldError):
@@ -184,9 +192,7 @@ def ribbon_length(s: FoldSchedule, epsilon: Num) -> Fraction:
     epsilon to zero is therefore twice the number of planes. Pass a
     Fraction or decimal string for an exact breakdown.
     """
-    eps = Fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    eps = _positive("epsilon", epsilon)
     return 2 * len(s.planes) + eps * (2 * len(s.planes) + 3 * len(s.caps))
 
 
@@ -209,12 +215,20 @@ class LayoutConfig:
 
 @dataclass(frozen=True)
 class _Geometry:
-    x: Dict[Col, Fraction]             # wing slot -> center x
-    plane_y: Tuple[Fraction, ...]      # body centerline per plane
-    cap_y: Tuple[Fraction, ...]        # bridge centerline per cap
-    tail: Tuple[Fraction, ...]         # fold-back overshoot per plane
-    top_of: Dict[Col, Fraction]        # wing slot -> bridge y
-    crossings: Dict[Col, Tuple[Fraction, ...]]  # wing slot -> body ys over it
+    unit: int                          # D: the fields below count 1/D
+    x: Dict[Col, int]                  # wing slot -> center x
+    plane_y: Tuple[int, ...]           # body centerline per plane
+    cap_y: Tuple[int, ...]             # bridge centerline per cap
+    tail: Tuple[int, ...]              # fold-back overshoot per plane
+    top_of: Dict[Col, int]             # wing slot -> bridge y
+    crossings: Dict[Col, Tuple[int, ...]]  # wing slot -> body ys over it
+
+
+def _positive(name: str, value: Num) -> Fraction:
+    value = Fraction(value)
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+    return value
 
 
 def _wing_gaps(s: FoldSchedule) -> List[int]:
@@ -228,28 +242,29 @@ def default_epsilon(s: FoldSchedule, width: Num = 1) -> Fraction:
 
     A plane whose wings are g slots apart folds back cleanly only while
     epsilon < width / (g + 2), so the default is half the tightest of
-    those budgets, capped at 1/100.
+    those budgets, capped at 1/100. Raises ValueError unless width > 0.
     """
     g = max(_wing_gaps(s), default=0)
-    return min(Fraction(1, 100), Fraction(width) / (2 * (g + 2)))
+    return min(Fraction(1, 100), _positive("width", width) / (2 * (g + 2)))
 
 
 def _geometry(s: FoldSchedule, cfg: LayoutConfig) -> _Geometry:
-    eps = Fraction(cfg.epsilon) / Fraction(cfg.width)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    x = {slot: Fraction(2 * j) for j, slot in enumerate(s.connection_order)}
+    width = _positive("width", cfg.width)
+    eps = _positive("epsilon", cfg.epsilon) / width
+    # offsets are multiples of 1/20 (creases, return, labels, gaps) or
+    # of eps/2 (the fold-back tail)
+    d = lcm(20, 2 * eps.denominator)
+    half_eps = eps.numerator * (d // (2 * eps.denominator))
+    x = {slot: 2 * j * d for j, slot in enumerate(s.connection_order)}
     n_planes = len(s.planes)
-    plane_y = tuple(Fraction(4 * k) for k in range(n_planes))
-    cap_y = tuple(
-        Fraction(4 * n_planes + 2 * m) for m in range(len(s.caps))
-    )
+    plane_y = tuple(4 * k * d for k in range(n_planes))
+    cap_y = tuple((4 * n_planes + 2 * m) * d for m in range(len(s.caps)))
 
-    tails: List[Fraction] = []
+    tails: List[int] = []
     for p, gap in zip(s.planes, _wing_gaps(s)):
-        o = 1 - eps * (gap + 2) / 2
-        if o <= Fraction(1, 2):
-            limit = Fraction(cfg.width) / (gap + 2)
+        o = d - half_eps * (gap + 2)
+        if 2 * o <= d:
+            limit = width / (gap + 2)
             raise LayoutOverlap(
                 f"epsilon {cfg.epsilon} too large for disjoint fold lines: "
                 f"the fold-back crease of plane {p.plane_index} meets its "
@@ -257,28 +272,19 @@ def _geometry(s: FoldSchedule, cfg: LayoutConfig) -> _Geometry:
             )
         tails.append(o)
 
-    top_of: Dict[Col, Fraction] = {}
-    for m, c in enumerate(s.caps):
-        for slot in c.join:
-            top_of[slot] = cap_y[m]
+    top_of = {slot: cap_y[m] for m, c in enumerate(s.caps) for slot in c.join}
 
-    crossings: Dict[Col, List[Fraction]] = {}
+    crossings: Dict[Col, List[int]] = {}
     for k, p in enumerate(s.planes):
         if p.crossed_wing is not None:
             crossings.setdefault(p.crossed_wing, []).append(plane_y[k])
-    return _Geometry(
-        x,
-        plane_y,
-        cap_y,
-        tuple(tails),
-        top_of,
-        {slot: tuple(ys) for slot, ys in crossings.items()},
-    )
+    return _Geometry(d, x, plane_y, cap_y, tuple(tails), top_of,
+                     {slot: tuple(ys) for slot, ys in crossings.items()})
 
 
-def _fold_segments(s: FoldSchedule, geo: _Geometry) -> List[Segment]:
-    half = Fraction(1, 2)
-    segs: List[Segment] = []
+def _fold_segments(s: FoldSchedule, geo: _Geometry) -> List[_Seg]:
+    half = geo.unit // 2
+    segs: List[_Seg] = []
     for k, p in enumerate(s.planes):
         y = geo.plane_y[k]
         xl, xr = geo.x[p.insertion[0]], geo.x[p.insertion[1]]
@@ -294,18 +300,18 @@ def _fold_segments(s: FoldSchedule, geo: _Geometry) -> List[Segment]:
     return segs
 
 
-def _orient2(a: Point, b: Point, c: Point) -> Fraction:
+def _orient2(a: _Pt, b: _Pt, c: _Pt) -> int:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def _within(a: Point, b: Point, c: Point) -> bool:
+def _within(a: _Pt, b: _Pt, c: _Pt) -> bool:
     return (
         min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
         and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
     )
 
 
-def _segments_meet(s1: Segment, s2: Segment) -> bool:
+def _segments_meet(s1: _Seg, s2: _Seg) -> bool:
     a, b = s1
     c, d = s2
     d1 = _orient2(c, d, a)
@@ -326,20 +332,20 @@ def _segments_meet(s1: Segment, s2: Segment) -> bool:
     return False
 
 
-def _first_meeting_pair(segs: Sequence[Segment]) -> Optional[Tuple[int, int]]:
+def _first_meeting_pair(segs: Sequence[_Seg], pitch: int) -> Optional[Tuple[int, int]]:
     """The lowest (i, j), i < j, whose segments share a point, else None.
 
-    Each segment is filed under every cell (x // 2, y // 2) that its
-    closed bounding box touches. Two segments that meet share the cell
-    of a common point, so only pairs that share a cell are tested.
+    Each segment is filed under every cell (x // pitch, y // pitch) that
+    its closed bounding box touches. Two segments that meet share the
+    cell of a common point, so only pairs that share a cell are tested.
     """
     cells: Dict[Tuple[int, int], List[int]] = {}
     for i, ((xa, ya), (xb, yb)) in enumerate(segs):
-        # pitch 2: wings sit 2 apart, plane bodies 4 apart and caps 2
-        # apart, and every crease fits in a 1 x 1 box, so a cell holds
-        # a handful of creases
-        for cx in range(min(xa, xb) // 2, max(xa, xb) // 2 + 1):
-            for cy in range(min(ya, yb) // 2, max(ya, yb) // 2 + 1):
+        # pitch 2 width units: wings sit 2 apart, plane bodies 4 apart
+        # and caps 2 apart, and every crease fits in a 1 x 1 box, so a
+        # cell holds a handful of creases
+        for cx in range(min(xa, xb) // pitch, max(xa, xb) // pitch + 1):
+            for cy in range(min(ya, yb) // pitch, max(ya, yb) // pitch + 1):
                 cells.setdefault((cx, cy), []).append(i)
     pairs = sorted({
         (i, j)
@@ -359,18 +365,20 @@ def check_fold_lines(
 
     Raises LayoutOverlap when any two creases share a point at the chosen
     epsilon, including the per-plane budget collision between the
-    fold-back crease and the right wing fold. Only creases that share a
-    2 x 2 cell are tested, so the cost grows linearly with the pile.
+    fold-back crease and the right wing fold, and ValueError unless
+    width and epsilon are positive. Only creases that share a 2 x 2 cell
+    are tested, so the cost grows linearly with the pile.
     """
     cfg = config or LayoutConfig()
     geo = _geometry(s, cfg)
     segs = _fold_segments(s, geo)
-    hit = _first_meeting_pair(segs)
+    hit = _first_meeting_pair(segs, 2 * geo.unit)
     if hit is not None:
         raise LayoutOverlap(
             f"fold lines {hit[0]} and {hit[1]} intersect at epsilon {cfg.epsilon}"
         )
-    return segs
+    return [tuple((Fraction(x, geo.unit), Fraction(y, geo.unit)) for x, y in seg)
+            for seg in segs]
 
 
 # ---------------------------------------------------------------------------
@@ -388,18 +396,14 @@ _STYLE = (
     ".lbl{font:italic 13px Georgia,serif;fill:#555}"
 )
 
-_GAP = Fraction(7, 20)  # visual half-gap in the under strand at a crossing
 
-
-def _runs(
-    lo: Fraction, hi: Fraction, cuts: Sequence[Fraction]
-) -> List[Tuple[Fraction, Fraction]]:
-    """Split [lo, hi] into visible runs, removing a gap around each cut."""
-    out: List[Tuple[Fraction, Fraction]] = []
+def _runs(lo: int, hi: int, cuts: Sequence[int], gap: int) -> List[Tuple[int, int]]:
+    """Split [lo, hi] into visible runs, removing ``gap`` around each cut."""
+    out: List[Tuple[int, int]] = []
     start = lo
     for c in sorted(cuts):
-        out.append((start, c - _GAP))
-        start = c + _GAP
+        out.append((start, c - gap))
+        start = c + gap
     out.append((start, hi))
     return [(a, b) for a, b in out if a < b]
 
@@ -413,53 +417,55 @@ def emit_svg(s: FoldSchedule, config: Optional[LayoutConfig] = None) -> str:
     ``check_fold_lines`` returns, checked before anything is drawn.
     """
     cfg = config or LayoutConfig()
-    scale = Fraction(SCALE)
-    margin = Fraction(MARGIN)
-    half = Fraction(1, 2)
-
     geo = _geometry(s, cfg)
-    folds = iter(check_fold_lines(s, cfg))
+    d = geo.unit
+    half = d // 2
+    folds = iter([  # the checked creases, back on the lattice
+        tuple((x.numerator * (d // x.denominator), y.numerator * (d // y.denominator))
+              for x, y in seg)
+        for seg in check_fold_lines(s, cfg)
+    ])
 
-    xs: List[Fraction] = [Fraction(0)]
-    ys: List[Fraction] = [Fraction(-1)]
+    xs: List[int] = [0]
+    ys: List[int] = [-d]
     for k, p in enumerate(s.planes):
-        xs.append(geo.x[p.insertion[0]] - 1)
-        xs.append(geo.x[p.insertion[1]] + geo.tail[k] + 1)
-        ys.append(geo.plane_y[k] + 1)
-    ys.extend(y + 1 for y in geo.cap_y)
-    x0 = min(xs) - margin
-    x1 = max(xs) + margin
-    y1 = max(ys) + margin
-    y0 = min(ys) - margin
-    w_px = float((x1 - x0) * scale)
-    h_px = float((y1 - y0) * scale)
+        xs.append(geo.x[p.insertion[0]] - d)
+        xs.append(geo.x[p.insertion[1]] + geo.tail[k] + d)
+        ys.append(geo.plane_y[k] + d)
+    ys.extend(y + d for y in geo.cap_y)
+    x0, x1 = min(xs) - MARGIN * d, max(xs) + MARGIN * d
+    y0, y1 = min(ys) - MARGIN * d, max(ys) + MARGIN * d
 
-    def fx(v: Fraction) -> str:
-        return f"{float((v - x0) * scale):.2f}"
+    def px(v: int) -> str:
+        return f"{v * SCALE / d:.2f}"
 
-    def fy(v: Fraction) -> str:
-        return f"{float((y1 - v) * scale):.2f}"
+    def fx(v: int) -> str:
+        return px(v - x0)
 
-    def rect(cls: str, xa: Fraction, xb: Fraction, ya: Fraction, yb: Fraction) -> str:
+    def fy(v: int) -> str:
+        return px(y1 - v)
+
+    def rect(cls: str, xa: int, xb: int, ya: int, yb: int) -> str:
         return (
             f'<rect class="{cls}" x="{fx(xa)}" y="{fy(yb)}" '
-            f'width="{float((xb - xa) * scale):.2f}" '
-            f'height="{float((yb - ya) * scale):.2f}"/>'
+            f'width="{px(xb - xa)}" height="{px(yb - ya)}"/>'
         )
 
-    def line(cls: str, a: Point, b: Point) -> str:
+    def line(cls: str, a: _Pt, b: _Pt) -> str:
         return (
             f'<line class="{cls}" x1="{fx(a[0])}" y1="{fy(a[1])}" '
             f'x2="{fx(b[0])}" y2="{fy(b[1])}"/>'
         )
 
+    w_px, h_px = px(x1 - x0), px(y1 - y0)
     parts: List[str] = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{w_px:.2f}" height="{h_px:.2f}" viewBox="0 0 {w_px:.2f} {h_px:.2f}">',
+        f'width="{w_px}" height="{h_px}" viewBox="0 0 {w_px} {h_px}">',
         f"<style>{_STYLE}</style>",
-        f'<rect class="page" x="0" y="0" width="{w_px:.2f}" height="{h_px:.2f}"/>',
+        f'<rect class="page" x="0" y="0" width="{w_px}" height="{h_px}"/>',
     ]
 
+    gap = 7 * d // 20  # visual half-gap in the under strand at a crossing
     for k, p in enumerate(s.planes):
         y = geo.plane_y[k]
         xl, xr = geo.x[p.insertion[0]], geo.x[p.insertion[1]]
@@ -469,16 +475,16 @@ def emit_svg(s: FoldSchedule, config: Optional[LayoutConfig] = None) -> str:
             xw = geo.x[slot]
             parts.append(rect("wing", xw - half, xw + half, y, geo.top_of[slot]))
         parts.append(rect("body", xl, xt, y - half, y + half))
-        parts.append(rect("return", xr, xt, y - Fraction(3, 10), y + Fraction(3, 10)))
+        parts.append(rect("return", xr, xt, y - 3 * d // 10, y + 3 * d // 10))
         parts.extend(line("fold", a, b) for a, b in islice(folds, 3))
         parts.append(line("core", (xl, y), (xt, y)))
         for slot in p.insertion:
             xw = geo.x[slot]
-            for a, b in _runs(y, geo.top_of[slot], geo.crossings.get(slot, ())):
+            for a, b in _runs(y, geo.top_of[slot], geo.crossings.get(slot, ()), gap):
                 parts.append(line("core", (xw, a), (xw, b)))
         parts.append(
-            f'<text class="lbl" x="{fx(xl - Fraction(7, 4))}" '
-            f'y="{fy(y - Fraction(1, 4))}">P{k}</text>'
+            f'<text class="lbl" x="{fx(xl - 7 * d // 4)}" '
+            f'y="{fy(y - d // 4)}">P{k}</text>'
         )
         parts.append("</g>")
 
@@ -490,8 +496,8 @@ def emit_svg(s: FoldSchedule, config: Optional[LayoutConfig] = None) -> str:
         parts.extend(line("fold", a, b) for a, b in islice(folds, 2))
         parts.append(line("core", (xa, y), (xb, y)))
         parts.append(
-            f'<text class="lbl" x="{fx(xb + Fraction(3, 4))}" '
-            f'y="{fy(y - Fraction(1, 4))}">C{m}</text>'
+            f'<text class="lbl" x="{fx(xb + 3 * d // 4)}" '
+            f'y="{fy(y - d // 4)}">C{m}</text>'
         )
         parts.append("</g>")
 

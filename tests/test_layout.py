@@ -30,13 +30,10 @@ from ribbonfold.layout import (
     schedule_json,
 )
 
-from foldlines_reference import (
-    reference_check_fold_lines,
-    reference_first_meeting_pair,
-)
+from foldlines_reference import reference_first_meeting_pair, reference_fold_segments
 from grids import NESTED, build
 from ladder import ladder
-from randbraids import random_closures
+from piles import FAMILIES, piles
 
 TREFOIL = "X(4,2,5,1) X(2,6,3,5) X(6,4,1,3)"
 HOPF = "X(4,1,3,2) X(2,3,1,4)"
@@ -148,34 +145,47 @@ def test_overlap_at_ten_widths():
         check_fold_lines(tiny, LayoutConfig(width=Fraction(1, 2), epsilon=5))
 
 
-def _piles(family):
-    if family == "corpus":
-        diagrams = [(e.name, e.diagram) for e in bundled_table()]
-    elif family == "ladder":
-        diagrams = [(f"ladder_c{c}", ladder(c)) for c in (8, 16, 20, 24, 32)]
-    else:
-        diagrams = random_closures(seed=12, count=20, max_crossings=12)
-        diagrams += random_closures(seed=1320, count=12, max_crossings=20,
-                                    min_crossings=13)
-    return [(name, build_pile(run_pipeline(d).normal)) for name, d in diagrams]
-
-
-@pytest.mark.parametrize("family", ["corpus", "ladder", "randbraids"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_bucketed_check_matches_all_pairs_on_piles(family):
-    piles = _piles(family)
-    assert len(piles) == {"corpus": 38, "ladder": 5, "randbraids": 32}[family]
-    for name, s in piles:
+    assert len(piles(family)) == {"corpus": 38, "ladder": 5, "randbraids": 32}[family]
+    for name, s in piles(family):
         budget = Fraction(1, max(_wing_gaps(s)) + 2)
         for eps in (default_epsilon(s), budget - Fraction(1, 10**9)):
             cfg = LayoutConfig(epsilon=eps)
-            assert check_fold_lines(s, cfg) == reference_check_fold_lines(s, cfg), name
+            geo = layout._geometry(s, cfg)
+            segs = layout._fold_segments(s, geo)
+            # the lattice ints over the unit are the rational creases
+            want = reference_fold_segments(s, cfg)
+            assert _on_lattice(want, geo.unit) == segs, name
+            assert check_fold_lines(s, cfg) == want, name
+            assert reference_first_meeting_pair(segs) is None, name
         # at the budget itself the fold-back guard fires first, in both
         cfg = LayoutConfig(epsilon=budget)
         with pytest.raises(LayoutOverlap) as got:
             check_fold_lines(s, cfg)
         with pytest.raises(LayoutOverlap) as want:
-            reference_check_fold_lines(s, cfg)
+            reference_fold_segments(s, cfg)
         assert str(got.value) == str(want.value), name
+
+
+def test_layout_rejects_non_positive_width_and_epsilon():
+    s = _schedule(TREFOIL)
+    bad = [
+        (0, Fraction(1, 100), "width"),
+        (-1, Fraction(-1, 100), "width"),  # eps / w alone is positive
+        (-0.5, 0.01, "width"),
+        (1, 0, "epsilon"),
+        (Fraction(1, 2), -0.01, "epsilon"),
+    ]
+    for width, eps, what in bad:
+        cfg = LayoutConfig(width=width, epsilon=eps)
+        for draw in (emit_svg, check_fold_lines):
+            with pytest.raises(ValueError, match=f"^{what} must be positive$"):
+                draw(s, cfg)
+    for width in (0, -1, Fraction(-1, 2), -0.5):
+        for sched in (s, EMPTY):
+            with pytest.raises(ValueError, match="^width must be positive$"):
+                default_epsilon(sched, width)
 
 
 def _seg(xa, ya, xb, yb):
@@ -183,6 +193,16 @@ def _seg(xa, ya, xb, yb):
 
 
 H = Fraction(1, 2)
+TINY = Fraction(1, 10**9)
+UNIT = 2 * 10**9  # the lattice unit at epsilon 1/10^9: lcm(20, 2 * 10^9)
+
+
+def _on_lattice(segs, unit):
+    """Segments scaled by ``unit``, each coordinate checked to be an int."""
+    scaled = [tuple((x * unit, y * unit) for x, y in seg) for seg in segs]
+    assert all(v.denominator == 1 for seg in scaled for pt in seg for v in pt)
+    return [tuple((int(x), int(y)) for x, y in seg) for seg in scaled]
+
 
 # (segments, the lowest pair that meets)
 MEETING_CASES = [
@@ -224,23 +244,30 @@ def _random_segments(rng, n):
     return segs
 
 
-def _check_message(monkeypatch, segs, want):
-    monkeypatch.setattr(layout, "_fold_segments", lambda s, geo: list(segs))
+def _check_pair(monkeypatch, segs, want):
+    """Both searches, in width units (pitch 2) and on the lattice of UNIT."""
+    lattice = _on_lattice(segs, UNIT)
+    assert reference_first_meeting_pair(segs) == want, segs
+    assert reference_first_meeting_pair(lattice) == want, segs
+    assert _first_meeting_pair(segs, 2) == want, segs
+    assert _first_meeting_pair(lattice, 2 * UNIT) == want, segs
+    # check_fold_lines reports the pair, or returns the segments in width units
+    cfg = LayoutConfig(epsilon=TINY)
+    assert layout._geometry(EMPTY, cfg).unit == UNIT
+    monkeypatch.setattr(layout, "_fold_segments", lambda s, geo: list(lattice))
     if want is None:
-        assert check_fold_lines(EMPTY) == list(segs)
+        assert check_fold_lines(EMPTY, cfg) == list(segs)
     else:
         with pytest.raises(LayoutOverlap) as e:
-            check_fold_lines(EMPTY)
+            check_fold_lines(EMPTY, cfg)
         assert str(e.value) == (
-            f"fold lines {want[0]} and {want[1]} intersect at epsilon 1/100")
+            f"fold lines {want[0]} and {want[1]} intersect at epsilon {TINY}")
 
 
 def test_first_meeting_pair_on_hand_made_segments(monkeypatch):
     cases = MEETING_CASES + [(segs, None) for segs in DISJOINT_CASES]
     for segs, want in cases:
-        assert reference_first_meeting_pair(segs) == want, segs
-        assert _first_meeting_pair(segs) == want, segs
-        _check_message(monkeypatch, segs, want)
+        _check_pair(monkeypatch, segs, want)
 
 
 def test_first_meeting_pair_on_random_segments(monkeypatch):
@@ -249,8 +276,7 @@ def test_first_meeting_pair_on_random_segments(monkeypatch):
     for _ in range(300):
         segs = _random_segments(rng, rng.randint(2, 12))
         want = reference_first_meeting_pair(segs)
-        assert _first_meeting_pair(segs) == want, segs
-        _check_message(monkeypatch, segs, want)
+        _check_pair(monkeypatch, segs, want)
         outcomes.add(want if want is None else want != (0, 1))
     # the draws reach disjoint lists, (0, 1) and later pairs
     assert outcomes == {None, False, True}
