@@ -2,8 +2,9 @@
 
 Machine-readable JSON goes to stdout, human summaries to stderr, and
 identical inputs with identical flags produce byte-identical outputs.
-Exit codes: 0 success, 1 parse or validation problem, 2 precondition
-failure (reducible crossing, split diagram), 3 internal check failure.
+Exit codes: 0 success, 1 parse or validation problem or a file that
+cannot be read or written, 2 precondition failure (reducible crossing,
+split diagram), 3 internal check failure.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .bound import compute_bound, grid_bound, report_json, run_pipeline
 from .expand import BgdFormatError, build_bgd, parse_bgd
@@ -96,11 +98,23 @@ def _detect_format(path: str, override: Optional[str]) -> str:
     raise _Exit(1, f"cannot detect input format of {path!r}; pass --format")
 
 
-def _read(path: str) -> str:
+@contextmanager
+def _file(path: str, verb: str) -> Iterator[None]:
+    """Report a file that cannot be read or written (or decoded) as exit 1."""
     try:
+        yield
+    except (OSError, UnicodeError) as e:
+        raise _Exit(1, f"cannot {verb} {path}: {e}") from e
+
+
+def _read(path: str) -> str:
+    with _file(path, "read"):
         return Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise _Exit(1, f"cannot read {path}: {e}") from e
+
+
+def _write(path: str, text: str) -> None:
+    with _file(path, "write"):
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _gate_diagram(d: PlanarDiagram) -> None:
@@ -195,12 +209,10 @@ def _cmd_layout(ns) -> int:
         svg = emit_svg(schedule, cfg)
     except LayoutOverlap as e:
         raise _Exit(1, str(e)) from e
-    Path(ns.output).write_text(svg, encoding="utf-8")
+    _write(ns.output, svg)
     if ns.schedule:
         doc = schedule_json(schedule, epsilon=eps, width=width)
-        Path(ns.schedule).write_text(
-            json.dumps(doc, indent=2) + "\n", encoding="utf-8"
-        )
+        _write(ns.schedule, json.dumps(doc, indent=2) + "\n")
     _emit_json(
         {
             "svg": ns.output,
@@ -345,7 +357,8 @@ def _table_row(item: Tuple[str, str]) -> List[str]:
 def _cmd_table(ns) -> int:
     if ns.jobs < 1:
         raise _Exit(1, "jobs must be at least 1")
-    entries = load_table(ns.input)
+    with _file(ns.input, "read"):
+        entries = load_table(ns.input)
     items = [(e.name, e.pd_text) for e in entries]
     for e in entries:
         bad = detect_nugatory(e.diagram)
@@ -355,12 +368,15 @@ def _cmd_table(ns) -> int:
                 f"{e.name}: reducible (nugatory) crossings "
                 f"{', '.join(map(str, bad))}: untwist before folding",
             )
-    if ns.jobs > 1:
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
+    # the pool starts all its workers at once, so never more than rows
+    workers = min(ns.jobs, len(items))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_table_row, items))
     else:
         rows = [_table_row(item) for item in items]
-    with open(ns.output, "w", newline="", encoding="utf-8") as fh:
+    with _file(ns.output, "write"), open(
+            ns.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_TABLE_COLUMNS)
         writer.writerows(rows)

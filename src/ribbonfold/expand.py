@@ -3,30 +3,31 @@
 Each level portion is replaced by one or two grid rows according to a
 fixed table, so that every row hugs at most one vertical strand and the
 horizontal segment of a crossed row always passes over it.  Columns are
-routed with exact fractions during construction and compressed to the
-integers 1..m at the end.
+not routed: each row is an event on the left-to-right order of the open
+strands (``model.Event``), and ``model.grid_from_events`` numbers them
+1, 2, ..., as it does every grid the rewrite builds.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .model import (
     END_KINDS,
     BinaryGridDiagram,
+    BlockType,
     EndKind,
+    Event,
     LeveledDiagram,
     PortionType,
     RibbonfoldError,
     Row,
     Shape,
     check_bgd,
-    column_values,
     end_columns,
+    grid_from_events,
     make_row,
-    map_columns,
 )
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "EXPANSION_TABLE",
     "expand_portion",
     "build_bgd",
-    "compress_columns",
     "bgd_to_text",
     "parse_bgd",
 ]
@@ -71,42 +71,54 @@ def expand_portion(portion: PortionType) -> Tuple[str, ...]:
         raise ExpansionError(f"no expansion for portion {portion.name}") from None
 
 
-def _mid(lo: Fraction, hi: Fraction) -> Fraction:
-    return (lo + hi) / 2
-
-
 class _Builder:
-    """Tracks open columns left-to-right and emits validated rows."""
+    """Keeps the open strands left to right and emits one event per row."""
 
     def __init__(self) -> None:
-        self.active: Tuple[Fraction, ...] = ()
-        self.rows: List[Row] = []
+        self.order: List[int] = []  # open strand ids, left to right
+        self.events: List[Event] = []
+        self.n = 0  # the next strand id
 
-    def row(self, shape: Shape, a: Fraction, b: Fraction,
-            crossed: Optional[Fraction]) -> None:
-        r = make_row(shape, a, b, crossed, self.active)
-        self.rows.append(r)
-        self.active = r.columns_above
+    def cup(self, p: int, crossed: bool = False) -> None:
+        """A cup around the strand at p, or plain just left of position p."""
+        n, order = self.n, self.order
+        self.n += 2
+        if crossed:
+            x, anchor = order[p], None
+            order[p:p + 1] = [n, x, n + 1]
+        else:
+            x, anchor = None, (order[p] if p < len(order) else None)
+            order[p:p] = [n, n + 1]
+        self.events.append((Shape.MIN, n, n + 1, x, anchor))
 
-    def left_gap(self, p: int) -> Fraction:
-        """A fresh column left of position p."""
-        hi = self.active[p]
-        lo = self.active[p - 1] if p > 0 else hi - 2
-        return _mid(lo, hi)
+    def side(self, p: int, right: bool) -> None:
+        """Move the strand at p across its right or left neighbour."""
+        s, n, order = self.order[p], self.n, self.order
+        self.n += 1
+        if right:
+            x = order[p + 1]
+            anchor = order[p + 2] if p + 2 < len(order) else None
+            order[p:p + 2] = [x, n]
+        else:
+            x = anchor = order[p - 1]
+            order[p - 1:p + 1] = [n, x]
+        self.events.append((Shape.TRANS, s, n, x, anchor))
 
-    def right_gap(self, p: int) -> Fraction:
-        """A fresh column right of position p."""
-        lo = self.active[p]
-        hi = self.active[p + 1] if p + 1 < len(self.active) else lo + 2
-        return _mid(lo, hi)
+    def cap(self, p: int, crossed: bool = False) -> None:
+        """Close the strand at p with its neighbour, or over it with the next."""
+        q = p + 2 if crossed else p + 1
+        a, b = self.order[p], self.order[q]
+        x = self.order[p + 1] if crossed else None
+        del self.order[q], self.order[p]
+        self.events.append((Shape.MAX, a, b, x, None))
 
 
 def build_bgd(leveled: LeveledDiagram) -> BinaryGridDiagram:
     """Expand a leveled diagram into a binary grid diagram.
 
     The grid presents the same link: every portion becomes the rows in
-    ``EXPANSION_TABLE``, columns are kept strictly increasing left to
-    right so open strand k always sits at the k-th smallest column.
+    ``EXPANSION_TABLE``, built as events on the open strands, and
+    ``grid_from_events`` numbers the columns as it does for the rewrite.
     """
     d = leveled.diagram
     b = _Builder()
@@ -116,85 +128,58 @@ def build_bgd(leveled: LeveledDiagram) -> BinaryGridDiagram:
         a = leveled.arc_starts[k]
         portion = leveled.portions[k]
         dcount = portion.index
-        before = len(b.rows)
+        before = len(b.events)
         # the strand on slots {a, a+2} is over iff its slot parity matches
         a_over = (a % 2) == x.over_pair
 
         if dcount == 0:
-            cols = [Fraction(i) for i in (1, 2, 3, 4)]
-            # final positions 0..3 carry slots (a+3, a+2, a+1, a): the
-            # {a, a+2} strand lands on columns 1 and 3, the other on 0 and 2
-            if a_over:
-                under, over, crossed = (cols[0], cols[2]), (cols[1], cols[3]), cols[2]
-            else:
-                under, over, crossed = (cols[1], cols[3]), (cols[0], cols[2]), cols[1]
-            b.row(Shape.MIN, under[0], under[1], None)
-            b.row(Shape.MIN, over[0], over[1], crossed)
+            # final positions 0..3 carry slots (a+3, a+2, a+1, a); the
+            # over strand's cup crosses a leg of the under strand's cup
+            b.cup(0)
+            b.cup(1 if a_over else 0, crossed=True)
 
         elif dcount == 4:
-            q = b.active
-            if len(q) != 4:
+            if len(b.order) != 4:
                 raise ExpansionError("top vertex reached with open strands remaining")
-            # run positions 0..3 carry slots (a, a+1, a+2, a+3)
-            if a_over:
-                first, crossed, second = (q[0], q[2]), q[1], (q[1], q[3])
-            else:
-                first, crossed, second = (q[1], q[3]), q[2], (q[0], q[2])
-            b.row(Shape.MAX, first[0], first[1], crossed)
-            b.row(Shape.MAX, second[0], second[1], None)
+            # run positions 0..3 carry slots (a, a+1, a+2, a+3); the over
+            # strand's cap crosses the other strand
+            b.cap(0 if a_over else 1, crossed=True)
+            b.cap(0)
 
         else:
             p = leveled.levels[k].index(x.slots[a])
             if dcount == 1:
-                cp = b.active[p]
                 if portion.sign > 0:
-                    cl, cr = b.left_gap(p), b.right_gap(p)
-                    b.row(Shape.MIN, cl, cr, cp)
-                else:
-                    hi = b.active[p + 1] if p + 1 < len(b.active) else cp + 2
-                    cl2 = cp + (hi - cp) / 3
-                    cr2 = cp + 2 * (hi - cp) / 3
-                    cm = _mid(cl2, cr2)
-                    b.row(Shape.MIN, cl2, cr2, None)
-                    b.row(Shape.TRANS, cp, cm, cl2)
+                    b.cup(p, crossed=True)
+                else:  # a plain cup right of p, then p crosses its left leg
+                    b.cup(p + 1)
+                    b.side(p, right=True)
             elif dcount == 2:
-                cp, cq = b.active[p], b.active[p + 1]
-                if a_over:
-                    cr = b.right_gap(p + 1)
-                    b.row(Shape.TRANS, cp, cr, cq)
-                else:
-                    cl = b.left_gap(p)
-                    b.row(Shape.TRANS, cq, cl, cp)
+                # the over strand moves across the other one
+                b.side(p if a_over else p + 1, right=a_over)
             elif dcount == 3:
-                c0, c1, c2 = b.active[p:p + 3]
                 if portion.sign > 0:
-                    b.row(Shape.MAX, c0, c2, c1)
-                else:
-                    cr = b.right_gap(p + 2)
-                    b.row(Shape.TRANS, c1, cr, c2)
-                    b.row(Shape.MAX, c0, c2, None)
+                    b.cap(p, crossed=True)
+                else:  # p + 1 steps over p + 2, which then closes with p
+                    b.side(p + 1, right=True)
+                    b.cap(p)
             else:
                 raise ExpansionError(f"bad down count {dcount}")
 
-        emitted = tuple(r.block_type.name for r in b.rows[before:])
+        emitted = tuple(BlockType(ev[0], ev[3] is not None).name
+                        for ev in b.events[before:])
         if emitted != EXPANSION_TABLE[portion.name]:
             raise ExpansionError(
                 f"portion {portion.name} emitted {emitted}, "
                 f"expected {EXPANSION_TABLE[portion.name]}")
 
-    if b.active:
+    if b.order:
         raise ExpansionError("open strands remain after the top vertex")
-    g = compress_columns(BinaryGridDiagram(tuple(b.rows)))
+    g = grid_from_events(b.events)
     problems = check_bgd(g)
     if problems:
         raise ExpansionError("expanded grid invalid: " + "; ".join(problems))
     return g
-
-
-def compress_columns(g: BinaryGridDiagram) -> BinaryGridDiagram:
-    """Renumber columns to 1..m preserving their order."""
-    rank = {v: i + 1 for i, v in enumerate(sorted(column_values(g.rows)))}
-    return BinaryGridDiagram(tuple(map_columns(r, rank.__getitem__) for r in g.rows))
 
 
 # ---------------------------------------------------------------------------

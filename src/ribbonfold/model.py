@@ -10,11 +10,11 @@ Conventions used throughout:
   segment always passes over any vertical strand it crosses. Over/under
   data of the original diagram is realized by choosing which strand
   becomes the horizontal one.
-* Column coordinates are exact rationals only while ``expand`` routes
-  strands (so fresh columns can always be squeezed between existing
-  ones). Expanded grids are compressed to integers, and every grid the
-  rewrite builds is numbered 1, 2, ... in its left-to-right strand
-  order.
+* Only the left-to-right order of the strands matters. ``expand`` and
+  the rewrite both build grids as events on strand identities (see
+  ``Event``), and ``grid_from_events`` alone numbers the strands 1, 2,
+  ... by that order. ``Col`` still admits exact rationals for grids
+  written by hand.
 
 All types are immutable value objects; transformations return new values.
 """
@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import bisect
 import enum
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 Col = Union[int, Fraction]
 
@@ -397,30 +399,6 @@ def make_row(shape: Shape, a: Col, b: Col, crossed: Optional[Col],
     return Row(shape, extent, kinds, crossed, tuple(below), tuple(above))
 
 
-def map_columns(r: Row, f: Callable[[Col], Col]) -> Row:
-    """``r`` with each column v replaced by f(v); f must keep each list's order."""
-    return Row(
-        r.shape,
-        (f(r.extent[0]), f(r.extent[1])),
-        r.end_kinds,
-        None if r.crossed_column is None else f(r.crossed_column),
-        tuple(map(f, r.columns_below)),
-        tuple(map(f, r.columns_above)),
-    )
-
-
-def column_values(rows: Iterable[Row]) -> Set[Col]:
-    """Every column value that the rows mention."""
-    out: Set[Col] = set()
-    for r in rows:
-        out.update(r.extent)
-        out.update(r.columns_below)
-        out.update(r.columns_above)
-        if r.crossed_column is not None:
-            out.add(r.crossed_column)
-    return out
-
-
 def check_row(row: Row) -> List[str]:
     """Structural problems with a single row (empty list if none)."""
     problems: List[str] = []
@@ -516,6 +494,93 @@ def check_bgd(g: BinaryGridDiagram) -> List[str]:
     if n_min != n_max:
         problems.append(f"{n_min} min rows vs {n_max} max rows")
     return problems
+
+
+# An event (shape, a, b, x, anchor) is one row on strand identities: a
+# cup (MIN) births the strands a and b, a cap (MAX) closes them, and a
+# sideways row (TRANS) ends strand a and births its continuation b. x is
+# the strand the row crosses, or None. A cup over x births a and b on
+# either side of it; every other birth is just left of the strand
+# ``anchor`` (None: at the right end), which puts a sideways row's new
+# strand beside the old one or beyond x, on the side it moves to.
+# Strands are numbered by birth, bottom to top and left to right within
+# a row, so ids survive reordering the events.
+Event = Tuple[Shape, int, int, Optional[int], Optional[int]]
+
+
+def _columns(events: List[Event]) -> Dict[int, int]:
+    """Columns 1, 2, ... for the strands of ``events`` replayed in order.
+
+    The strands are kept in one left-to-right list, where each event's
+    strands (with the one it crosses) are contiguous; every pair that is
+    adjacent at some moment gives a left-of edge, and Kahn's sort of
+    those edges, ties to the smallest id, numbers the strands. The
+    relation is acyclic: strand lifetimes are intervals, so strands that
+    pairwise coexist all coexist at one height, where they are ordered.
+    """
+    order: List[int] = []
+    right_of: Dict[int, Set[int]] = {}
+
+    def link(lo: int, hi: int) -> None:
+        """Record the adjacent pairs of order[lo - 1:hi + 1]."""
+        for k in range(max(lo - 1, 0), min(hi, len(order) - 1)):
+            right_of[order[k]].add(order[k + 1])
+
+    for shape, a, b, x, anchor in events:
+        if shape is Shape.MAX:
+            lo = order.index(a)
+            hi = lo + (2 if x is None else 3)
+            assert order[lo + 1:hi] == ([b] if x is None else [x, b]), (
+                f"cap on {a}, {b}: not adjacent")
+            del order[hi - 1], order[lo]
+            link(lo, hi - 2)
+            continue
+        right_of[b] = set()
+        if shape is Shape.TRANS:
+            # b is born beside a, or beyond x from it, so that a, x and b
+            # are adjacent for that moment; then a ends
+            lo = len(order) if anchor is None else order.index(anchor)
+            order.insert(lo, b)
+            j = order.index(a)
+            lo, hi = min(lo, j), max(lo, j) + 1
+            link(lo, hi)
+            del order[j]
+            link(lo, hi - 1)
+            continue
+        right_of[a] = set()
+        if x is None:
+            lo = len(order) if anchor is None else order.index(anchor)
+            order[lo:lo] = [a, b]
+            link(lo, lo + 2)
+        else:
+            lo = order.index(x)
+            order[lo:lo + 1] = [a, x, b]
+            link(lo, lo + 3)
+
+    indegree = Counter(w for succ in right_of.values() for w in succ)
+    ready = [v for v in right_of if not indegree[v]]
+    heapq.heapify(ready)
+    col: Dict[int, int] = {}
+    while ready:
+        v = heapq.heappop(ready)
+        col[v] = len(col) + 1
+        for w in right_of[v]:
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                heapq.heappush(ready, w)
+    assert len(col) == len(right_of), "the left-of relation has a cycle"
+    return col
+
+
+def grid_from_events(events: List[Event]) -> BinaryGridDiagram:
+    """The grid of ``events`` on the columns of ``_columns``, unchecked."""
+    col = _columns(events)
+    rows: List[Row] = []
+    below: Tuple[Col, ...] = ()
+    for shape, a, b, x, _ in events:
+        rows.append(make_row(shape, col[a], col[b], None if x is None else col[x], below))
+        below = rows[-1].columns_above
+    return BinaryGridDiagram(tuple(rows))
 
 
 # ---------------------------------------------------------------------------

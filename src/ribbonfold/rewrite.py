@@ -2,35 +2,32 @@
 
 Normal form is a stack of cups (crossed or plain) followed by plain
 caps. The rewrite works on the order of the strands, not on their
-columns: the rows become events on strand identities (see ``Event``),
+columns: the rows become events on strand identities (``model.Event``),
 with each sideways row read as a cup plus a cap that closes the old
 strand and each crossed cap as a cup over the same strand plus two
 plain caps. Raising every cap past every cup above it, one planar
 isotopy per swap, then ends with all cups in their order followed by
 all caps in theirs, and that order always replays: a cup born above a
-cap can be born below it next to the same neighbour. Replaying events
-on one ordered strand list gives each strand an integer column, by a
-topological sort of the left-of relation between strands that are ever
-adjacent. ``normalize`` runs the full check on its input and on its
-output.
+cap can be born below it next to the same neighbour. The columns come
+from ``model.grid_from_events``, as for the expanded grid.
+``normalize`` runs the full check on its input and on its output.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
-from collections import Counter
-from typing import Container, Dict, List, Optional, Set, Tuple
+from typing import Container, Dict, List, Optional, Tuple
 
 from .model import (
     BinaryGridDiagram,
     Col,
     EndKind,
+    Event,
     RibbonfoldError,
     Row,
     Shape,
     check_bgd,
-    make_row,
+    grid_from_events,
 )
 
 __all__ = [
@@ -78,18 +75,6 @@ def is_normal_form(g: BinaryGridDiagram) -> bool:
 def _require(problems: List[str], what: str) -> None:
     if problems:
         raise RewriteError(f"{what}: " + "; ".join(problems))
-
-
-# An event (shape, a, b, x, anchor) is one row on strand identities: a
-# cup (MIN) births the strands a and b, a cap (MAX) closes them, and a
-# sideways row (TRANS) ends strand a and births its continuation b. x is
-# the strand the row crosses, or None. A cup over x births a and b on
-# either side of it; every other birth is just left of the strand
-# ``anchor`` (None: at the right end), which puts a sideways row's new
-# strand beside the old one or beyond x, on the side it moves to.
-# Strands are numbered by birth, bottom to top and left to right within
-# a row, so ids survive reordering the events.
-Event = Tuple[Shape, int, int, Optional[int], Optional[int]]
 
 
 def _events(g: BinaryGridDiagram, convert: Container[int] = ()) -> List[Event]:
@@ -146,79 +131,9 @@ def _events(g: BinaryGridDiagram, convert: Container[int] = ()) -> List[Event]:
     return out
 
 
-def _columns(events: List[Event]) -> Dict[int, int]:
-    """Columns 1, 2, ... for the strands of ``events`` replayed in order.
-
-    The strands are kept in one left-to-right list, where each event's
-    strands (with the one it crosses) are contiguous; every pair that is
-    adjacent at some moment gives a left-of edge, and Kahn's sort of
-    those edges, ties to the smallest id, numbers the strands. The
-    relation is acyclic: strand lifetimes are intervals, so strands that
-    pairwise coexist all coexist at one height, where they are ordered.
-    """
-    order: List[int] = []
-    right_of: Dict[int, Set[int]] = {}
-
-    def link(lo: int, hi: int) -> None:
-        """Record the adjacent pairs of order[lo - 1:hi + 1]."""
-        for k in range(max(lo - 1, 0), min(hi, len(order) - 1)):
-            right_of[order[k]].add(order[k + 1])
-
-    for shape, a, b, x, anchor in events:
-        if shape is Shape.MAX:
-            lo = order.index(a)
-            hi = lo + (2 if x is None else 3)
-            assert order[lo + 1:hi] == ([b] if x is None else [x, b]), (
-                f"cap on {a}, {b}: not adjacent")
-            del order[hi - 1], order[lo]
-            link(lo, hi - 2)
-            continue
-        right_of[b] = set()
-        if shape is Shape.TRANS:
-            # b is born beside a, or beyond x from it, so that a, x and b
-            # are adjacent for that moment; then a ends
-            lo = len(order) if anchor is None else order.index(anchor)
-            order.insert(lo, b)
-            j = order.index(a)
-            lo, hi = min(lo, j), max(lo, j) + 1
-            link(lo, hi)
-            del order[j]
-            link(lo, hi - 1)
-            continue
-        right_of[a] = set()
-        if x is None:
-            lo = len(order) if anchor is None else order.index(anchor)
-            order[lo:lo] = [a, b]
-            link(lo, lo + 2)
-        else:
-            lo = order.index(x)
-            order[lo:lo + 1] = [a, x, b]
-            link(lo, lo + 3)
-
-    indegree = Counter(w for succ in right_of.values() for w in succ)
-    ready = [v for v in right_of if not indegree[v]]
-    heapq.heapify(ready)
-    col: Dict[int, int] = {}
-    while ready:
-        v = heapq.heappop(ready)
-        col[v] = len(col) + 1
-        for w in right_of[v]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                heapq.heappush(ready, w)
-    assert len(col) == len(right_of), "the left-of relation has a cycle"
-    return col
-
-
 def _grid(events: List[Event]) -> BinaryGridDiagram:
-    """The grid of ``events`` on the columns of ``_columns``, fully checked."""
-    col = _columns(events)
-    rows: List[Row] = []
-    below: Tuple[Col, ...] = ()
-    for shape, a, b, x, _ in events:
-        rows.append(make_row(shape, col[a], col[b], None if x is None else col[x], below))
-        below = rows[-1].columns_above
-    g = BinaryGridDiagram(tuple(rows))
+    """The grid of ``events`` (see ``grid_from_events``), fully checked."""
+    g = grid_from_events(events)
     _require(check_bgd(g), "rewrite produced an invalid grid")
     return g
 

@@ -4,12 +4,12 @@ A sideways row becomes a cup through a fresh column squeezed next to the
 old strand, plus a cap that swallows the old strand; a crossed cap
 becomes a cup over the same vertical through two fresh columns plus two
 plain caps. The strand emerging above keeps its column, so rows above
-the converted one are untouched.
+the converted one are untouched, and the columns of a grid only grow.
 """
 
 from fractions import Fraction
 
-from ribbonfold.model import BinaryGridDiagram, EndKind, Shape, check_bgd, column_values, make_row
+from ribbonfold.model import BinaryGridDiagram, EndKind, Shape, check_bgd, make_row
 from ribbonfold.rewrite import _convertible
 
 
@@ -21,11 +21,22 @@ def _fresh(lo, hi, used):
     return x
 
 
-def reference_convert(g, i):
-    """``g`` with row i (a TRANS or crossed MAX) replaced by cups and plain caps."""
+def column_values(g):
+    """Every column that the rows of ``g`` mention."""
+    used = set()
+    for r in g.rows:
+        used.update(r.columns_below)
+        used.update(r.columns_above)
+    return used
+
+
+def reference_convert(g, i, used):
+    """``g`` with row i (a TRANS or crossed MAX) replaced by cups and plain caps.
+
+    ``used`` is ``column_values(g)``; the fresh columns avoid it.
+    """
     r = g.rows[i]
     assert _convertible(r), r.block_type.name
-    used = column_values(g.rows)
     s = r.columns_below
     rows = list(g.rows)
     if r.shape is Shape.TRANS:
@@ -55,10 +66,12 @@ def reference_convert(g, i):
 
 def reference_convert_all(g):
     """``g`` with every sideways and crossed-cap row converted, bottom to top."""
+    used = column_values(g)
     i = 0
     while i < len(g.rows):
         if _convertible(g.rows[i]):
-            g = reference_convert(g, i)
+            g = reference_convert(g, i, used)
+            used.update(g.rows[i].extent)  # the cup holds the fresh columns
         else:
             i += 1
     assert check_bgd(g) == []

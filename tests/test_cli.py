@@ -125,6 +125,69 @@ def test_missing_file_exits_one(tmp_path):
     assert run_command(["bound", str(tmp_path / "nope.pd")]) == 1
 
 
+def _table_csv(path, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["name", "crossings", "pd"])
+        w.writerows(rows)
+    return path
+
+
+@pytest.mark.parametrize("case", [
+    "table_missing_csv", "bound_non_utf8_pd", "table_non_utf8_csv",
+    "layout_svg_no_dir", "layout_schedule_no_dir",
+])
+def test_unreadable_or_unwritable_file_exits_one(case, trefoil_pd, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"X(4,2,5,1) \xff\xfe\n")
+    nodir = str(tmp_path / "nodir" / "x")
+    out = str(tmp_path / "o.csv")
+    argv, verb, path = {
+        "table_missing_csv": (["table", nodir + ".csv", "-o", out], "read", nodir + ".csv"),
+        "bound_non_utf8_pd": (["bound", str(bad), "--format", "pd"], "read", str(bad)),
+        "table_non_utf8_csv": (["table", str(bad), "-o", out], "read", str(bad)),
+        "layout_svg_no_dir": (
+            ["layout", str(trefoil_pd), "-o", nodir + ".svg"], "write", nodir + ".svg"),
+        "layout_schedule_no_dir": (
+            ["layout", str(trefoil_pd), "-o", str(tmp_path / "t.svg"),
+             "--schedule", nodir + ".json"], "write", nodir + ".json"),
+    }[case]
+    assert run_command(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot {verb} {path}: ")
+
+
+def test_table_jobs_never_exceed_rows(tmp_path, monkeypatch, capsys):
+    # the executor starts every worker up front, so ask for at most one
+    # per row, and none for a single row or an empty table
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("ribbonfold.cli.ProcessPoolExecutor", SerialPool)
+    out = str(tmp_path / "o.csv")
+    two = _table_csv(tmp_path / "two.csv", [["trefoil", "3", TREFOIL], ["hopf", "2", HOPF]])
+    assert run_command(["table", str(two), "-o", out, "--jobs", "64"]) == 0
+    assert asked == [2]
+    one = _table_csv(tmp_path / "one.csv", [["hopf", "2", HOPF]])
+    assert run_command(["table", str(one), "-o", out, "--jobs", "64"]) == 0
+    empty = _table_csv(tmp_path / "empty.csv", [])
+    capsys.readouterr()
+    assert run_command(["table", str(empty), "-o", out, "--jobs", "4"]) == 0
+    assert _json_out(capsys)["entries"] == 0
+    assert asked == [2]
+
+
 def test_layout_writes_svg_and_schedule(trefoil_pd, tmp_path, capsys):
     svg = tmp_path / "out.svg"
     sched = tmp_path / "sched.json"

@@ -7,16 +7,19 @@ from ribbonfold.expand import (
     BgdFormatError,
     bgd_to_text,
     build_bgd,
-    compress_columns,
     expand_portion,
     parse_bgd,
 )
 from ribbonfold.ingest import bundled_table, parse_pd
 from ribbonfold.invariants import bgd_to_pd, jones_fingerprint, jones_normalized
-from ribbonfold.leveling import find_leveling, optimize_flips
+from ribbonfold.leveling import FlipChoice, apply_flip, find_leveling, optimize_flips
 from ribbonfold.model import PortionType
+from ribbonfold.rewrite import _events, normalize
 
+from expand_reference import reference_build_bgd
 from grids import build
+from ladder import ladder
+from randbraids import random_closures
 
 TREFOIL_TXT = "X(4,2,5,1) X(2,6,3,5) X(6,4,1,3)"
 HOPF_TXT = "X(4,1,3,2) X(2,3,1,4)"
@@ -57,15 +60,37 @@ def test_figure_eight_grid():
     assert sum(g.block_multiset().values()) == 6
 
 
+def _flips(ld):
+    """The four flips of a leveling."""
+    return [apply_flip(ld, FlipChoice(fx, fy)) for fx in (False, True) for fy in (False, True)]
+
+
 def test_columns_are_small_ints():
-    g = _grid(TREFOIL_TXT)
-    cols = set()
-    for r in g.rows:
-        cols.update(r.extent)
-        cols.update(r.columns_below)
-        cols.update(r.columns_above)
-    assert cols == set(range(1, len(cols) + 1))
-    assert all(isinstance(c, int) for c in cols)
+    # the columns are 1, 2, ..., m without gaps, for every flip
+    for entry in bundled_table():
+        for ld in _flips(find_leveling(entry.diagram)):
+            cols = set()
+            for r in build_bgd(ld).rows:
+                cols.update(r.extent)
+                cols.update(r.columns_below)
+                cols.update(r.columns_above)
+            assert cols == set(range(1, len(cols) + 1)), entry.name
+            assert all(type(c) is int for c in cols), entry.name
+
+
+def test_expansion_matches_the_rational_reference():
+    # the strand events are those of the rational routing, whose column
+    # numbers differ, and both normalize to the same bytes
+    diagrams = [(e.name, e.diagram) for e in bundled_table()]
+    diagrams += [(f"ladder c={c}", ladder(c)) for c in range(4, 81, 2)]
+    diagrams += random_closures(seed=12, count=40, max_crossings=12)
+    diagrams += random_closures(seed=1320, count=40, max_crossings=20,
+                                min_crossings=13)
+    for name, d in diagrams:
+        for ld in _flips(find_leveling(d)):
+            g, ref = build_bgd(ld), reference_build_bgd(ld)
+            assert _events(g) == _events(ref), name
+            assert bgd_to_text(normalize(g)) == bgd_to_text(normalize(ref)), name
 
 
 def test_block_count_identity_corpus():
@@ -127,17 +152,8 @@ def test_parse_errors(bad, msg):
         parse_bgd(bad)
 
 
-def test_compress_columns_preserves_structure():
-    g = build([("MIN", 10, 40), ("MIN", 20, 30), ("MAX", 20, 30), ("MAX", 10, 40)])
-    c = compress_columns(g)
-    assert [r.extent for r in c.rows] == [(1, 4), (2, 3), (2, 3), (1, 4)]
-    assert compress_columns(c) == c
-
-
 def test_flipped_expansion_still_reads_back():
     # expansion must be sound for every flip, not just the optimized one
-    from ribbonfold.leveling import FlipChoice, apply_flip
-
     for name in ("3_1", "5_2", "L4a1", "6_1"):
         entry = next(e for e in bundled_table() if e.name == name)
         ld = find_leveling(entry.diagram)
