@@ -60,6 +60,7 @@ from .model import (
     BinaryGridDiagram,
     BoundReport,
     Crossing,
+    InvalidGrid,
     LeveledDiagram,
     PlanarDiagram,
     RibbonfoldError,
@@ -77,7 +78,7 @@ __all__ = [
     # model
     "PlanarDiagram", "Crossing", "LeveledDiagram", "BinaryGridDiagram",
     "Row", "BoundReport", "RibbonfoldError", "RoutingError",
-    "validate_diagram", "check_bgd",
+    "validate_diagram", "check_bgd", "InvalidGrid",
     # ingest
     "parse_pd", "emit_pd", "load_table", "bundled_table", "detect_nugatory",
     "PdSyntaxError", "LabelError", "TableError",

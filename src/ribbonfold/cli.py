@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .bound import compute_bound, grid_bound, report_json, run_pipeline
 from .expand import BgdFormatError, build_bgd, parse_bgd
@@ -242,16 +243,17 @@ def _stage(stages: List[Dict[str, object]], name: str, ok: bool, detail: str):
 
 def _verify_grid_stages(
     g: BinaryGridDiagram,
+    fingerprint: Callable[[PlanarDiagram], Tuple[str, ...]],
     fp0: Tuple[str, ...],
     stages: List[Dict[str, object]],
     per_step: bool,
-) -> BinaryGridDiagram:
+) -> None:
     trace: Optional[List] = [] if per_step else None
     gn = normalize(g, trace=trace)
-    ok = jones_fingerprint(bgd_to_pd(gn)) == fp0
+    ok = fingerprint(bgd_to_pd(gn)) == fp0
     if per_step and trace is not None:
         for _msg, gi in trace:
-            if jones_fingerprint(bgd_to_pd(gi)) != fp0:
+            if fingerprint(bgd_to_pd(gi)) != fp0:
                 ok = False
         detail = f"{len(trace)} steps checked"
     else:
@@ -262,15 +264,16 @@ def _verify_grid_stages(
     _stage(
         stages,
         "layout",
-        jones_fingerprint(core_diagram(s)) == fp0,
+        fingerprint(core_diagram(s)) == fp0,
         f"{len(s.planes)} planes, {len(s.caps)} caps",
     )
-    return gn
 
 
 def _cmd_verify(ns) -> int:
     fmt = _detect_format(ns.input, ns.format)
     stages: List[Dict[str, object]] = []
+    # one oracle run per distinct diagram: many stages repeat a diagram
+    fingerprint = functools.cache(jones_fingerprint)
     if fmt == "pd":
         d = _load_pd(ns.input, ns.allow_unknot)
         c = d.crossing_number
@@ -286,20 +289,20 @@ def _cmd_verify(ns) -> int:
             _emit_json(payload)
             _say("trivial diagram: nothing to check")
             return 0
-        fp0 = jones_fingerprint(d)
+        fp0 = fingerprint(d)
 
         ld = find_leveling(d)
         _stage(
             stages,
             "leveling",
-            not check_leveling(ld) and jones_fingerprint(ld.diagram) == fp0,
+            not check_leveling(ld) and fingerprint(ld.diagram) == fp0,
             f"order {list(ld.order)}",
         )
         flips_ok = True
         for fx in (False, True):
             for fy in (False, True):
                 fl = apply_flip(ld, FlipChoice(fx, fy))
-                if check_leveling(fl) or jones_fingerprint(fl.diagram) != fp0:
+                if check_leveling(fl) or fingerprint(fl.diagram) != fp0:
                     flips_ok = False
         _stage(stages, "flips", flips_ok, "4 variants")
         best, choice = optimize_flips(ld)
@@ -307,15 +310,15 @@ def _cmd_verify(ns) -> int:
         _stage(
             stages,
             "expansion",
-            jones_fingerprint(bgd_to_pd(g)) == fp0,
+            fingerprint(bgd_to_pd(g)) == fp0,
             f"{len(g.rows)} rows, flips x={choice.flip_x} y={choice.flip_y}",
         )
-        _verify_grid_stages(g, fp0, stages, ns.per_step)
+        _verify_grid_stages(g, fingerprint, fp0, stages, ns.per_step)
     else:
         g, d = _load_bgd(ns.input)
         c = g.crossing_number
-        fp0 = jones_fingerprint(d)
-        _verify_grid_stages(g, fp0, stages, ns.per_step)
+        fp0 = fingerprint(d)
+        _verify_grid_stages(g, fingerprint, fp0, stages, ns.per_step)
 
     ok = all(s["ok"] for s in stages)
     _emit_json(

@@ -19,12 +19,12 @@ from .model import (
     BlockType,
     EndKind,
     Event,
+    InvalidGrid,
     LeveledDiagram,
     PortionType,
     RibbonfoldError,
     Row,
     Shape,
-    check_bgd,
     end_columns,
     grid_from_events,
     make_row,
@@ -118,7 +118,7 @@ def build_bgd(leveled: LeveledDiagram) -> BinaryGridDiagram:
 
     The grid presents the same link: every portion becomes the rows in
     ``EXPANSION_TABLE``, built as events on the open strands, and
-    ``grid_from_events`` numbers the columns as it does for the rewrite.
+    ``grid_from_events`` numbers and checks it as it does for the rewrite.
     """
     d = leveled.diagram
     b = _Builder()
@@ -175,11 +175,7 @@ def build_bgd(leveled: LeveledDiagram) -> BinaryGridDiagram:
 
     if b.order:
         raise ExpansionError("open strands remain after the top vertex")
-    g = grid_from_events(b.events)
-    problems = check_bgd(g)
-    if problems:
-        raise ExpansionError("expanded grid invalid: " + "; ".join(problems))
-    return g
+    return grid_from_events(b.events)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +206,8 @@ def parse_bgd(text: str) -> BinaryGridDiagram:
 
     Column occupancy between rows is reconstructed from the row sequence.
     The ``elbow`` end token is accepted for MIN and MAX rows, where the
-    direction is forced by the shape, but rejected for TRANS rows.
+    direction is forced by the shape, but rejected for TRANS rows. A
+    grid that fails ``check_bgd`` is a BgdFormatError listing its problems.
     """
     rows: List[Row] = []
     active: Tuple[int, ...] = ()
@@ -254,8 +251,7 @@ def parse_bgd(text: str) -> BinaryGridDiagram:
 
     if active:
         raise BgdFormatError(f"columns {list(active)} still open at the top")
-    g = BinaryGridDiagram(tuple(rows))
-    problems = check_bgd(g)
-    if problems:
-        raise BgdFormatError("; ".join(problems))
-    return g
+    try:
+        return BinaryGridDiagram(tuple(rows))
+    except InvalidGrid as e:
+        raise BgdFormatError(str(e)) from None

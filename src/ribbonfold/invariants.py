@@ -36,7 +36,6 @@ from .model import (
     RoutingError,
     Shape,
     UnionFind,
-    check_bgd,
     validate_diagram,
 )
 
@@ -257,12 +256,9 @@ def bgd_to_pd(g: BinaryGridDiagram) -> PlanarDiagram:
 
     One crossing per crossed row, slots in counterclockwise order
     (below-vertical, right-horizontal, above-vertical, left-horizontal),
-    which puts the horizontal over-strand on the 1-3 diagonal.
+    which puts the horizontal over-strand on the 1-3 diagonal. ``g`` is
+    valid by construction, so it is not checked again.
     """
-    problems = check_bgd(g)
-    if problems:
-        raise RoutingError("invalid grid diagram: " + "; ".join(problems))
-
     uf = UnionFind()
     crossings_rows: List[int] = []
     for i, row in enumerate(g.rows):

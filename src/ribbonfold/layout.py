@@ -39,10 +39,8 @@ from .model import (
     Col,
     PlanarDiagram,
     RibbonfoldError,
-    Row,
     Shape,
-    check_bgd,
-    make_row,
+    stack_rows,
 )
 from .rewrite import _convertible, is_normal_form
 
@@ -159,11 +157,9 @@ def build_pile(g: BinaryGridDiagram) -> FoldSchedule:
 
     One plane per cup row in stacking order, one cap per cap row from the
     inside out. The pile invariant (2k wings with insertable spaces after
-    k insertions) is re-checked at every step.
+    k insertions) is re-checked at every step. ``g`` is valid by
+    construction, so only its normal form is checked here.
     """
-    problems = check_bgd(g)
-    if problems:
-        raise NotNormalForm("not a valid grid: " + "; ".join(problems))
     if not is_normal_form(g):
         bad = sorted({r.block_type.name for r in g.rows if _convertible(r)})
         what = ", ".join(bad) if bad else "cup rows above cap rows"
@@ -517,14 +513,9 @@ def core_diagram(s: FoldSchedule) -> PlanarDiagram:
     where a body passes its crossed wing. The walk reconstructs a planar
     diagram from the schedule alone, for checking against the input.
     """
-    ends = [(Shape.MIN, p.insertion, p.crossed_wing) for p in s.planes]
-    ends += [(Shape.MAX, c.join, None) for c in s.caps]
-    rows: List[Row] = []
-    below: Tuple[Col, ...] = ()
-    for shape, (a, b), crossed in ends:
-        rows.append(make_row(shape, a, b, crossed, below))
-        below = rows[-1].columns_above
-    return bgd_to_pd(BinaryGridDiagram(tuple(rows)))
+    ends = [(Shape.MIN, *p.insertion, p.crossed_wing) for p in s.planes]
+    ends += [(Shape.MAX, *c.join, None) for c in s.caps]
+    return bgd_to_pd(stack_rows(ends))
 
 
 def schedule_json(

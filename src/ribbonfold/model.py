@@ -15,6 +15,8 @@ Conventions used throughout:
   ``Event``), and ``grid_from_events`` alone numbers the strands 1, 2,
   ... by that order. ``Col`` still admits exact rationals for grids
   written by hand.
+* A ``BinaryGridDiagram`` is checked once, when it is made (``check_bgd``,
+  else ``InvalidGrid``), so no stage checks a grid it is handed again.
 
 All types are immutable value objects; transformations return new values.
 """
@@ -27,7 +29,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 Col = Union[int, Fraction]
 
@@ -38,6 +40,10 @@ class RibbonfoldError(Exception):
 
 class RoutingError(RibbonfoldError):
     """Internal strand-routing inconsistency; indicates a bug, not bad input."""
+
+
+class InvalidGrid(RibbonfoldError):
+    """A grid diagram failed ``check_bgd``; the message lists the problems."""
 
 
 class UnionFind:
@@ -453,9 +459,15 @@ def check_row(row: Row) -> List[str]:
 
 @dataclass(frozen=True)
 class BinaryGridDiagram:
-    """Bottom-to-top sequence of rows, each crossing at most one vertical."""
+    """Bottom-to-top sequence of rows, each crossing at most one vertical;
+    construction raises ``InvalidGrid`` on any ``check_bgd`` problem."""
 
     rows: Tuple[Row, ...]
+
+    def __post_init__(self) -> None:
+        problems = check_bgd(self)
+        if problems:
+            raise InvalidGrid("; ".join(problems))
 
     @property
     def crossing_number(self) -> int:
@@ -474,7 +486,7 @@ def check_bgd(g: BinaryGridDiagram) -> List[str]:
     Each row is checked on its own (``check_row``), each pair of
     neighbouring rows must agree on the columns between them, the grid
     must start and end with zero strands, and the cups must match the
-    caps in number.
+    caps in number. ``BinaryGridDiagram`` runs it on every grid made.
     """
     problems: List[str] = []
     rows = g.rows
@@ -572,15 +584,22 @@ def _columns(events: List[Event]) -> Dict[int, int]:
     return col
 
 
-def grid_from_events(events: List[Event]) -> BinaryGridDiagram:
-    """The grid of ``events`` on the columns of ``_columns``, unchecked."""
-    col = _columns(events)
+def stack_rows(specs: Iterable[Tuple[Shape, Col, Col, Optional[Col]]]) -> BinaryGridDiagram:
+    """The grid whose rows, bottom to top, are the specs (shape, a, b,
+    crossed), each made by ``make_row`` over the columns left open below."""
     rows: List[Row] = []
     below: Tuple[Col, ...] = ()
-    for shape, a, b, x, _ in events:
-        rows.append(make_row(shape, col[a], col[b], None if x is None else col[x], below))
+    for shape, a, b, crossed in specs:
+        rows.append(make_row(shape, a, b, crossed, below))
         below = rows[-1].columns_above
     return BinaryGridDiagram(tuple(rows))
+
+
+def grid_from_events(events: List[Event]) -> BinaryGridDiagram:
+    """The grid of ``events`` on the columns of ``_columns``."""
+    col = _columns(events)
+    return stack_rows((shape, col[a], col[b], None if x is None else col[x])
+                      for shape, a, b, x, _ in events)
 
 
 # ---------------------------------------------------------------------------

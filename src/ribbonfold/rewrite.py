@@ -9,8 +9,8 @@ plain caps. Raising every cap past every cup above it, one planar
 isotopy per swap, then ends with all cups in their order followed by
 all caps in theirs, and that order always replays: a cup born above a
 cap can be born below it next to the same neighbour. The columns come
-from ``model.grid_from_events``, as for the expanded grid.
-``normalize`` runs the full check on its input and on its output.
+from ``model.grid_from_events``, as for the expanded grid, and each
+grid made is checked once, by its constructor (``model.InvalidGrid``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .model import (
     RibbonfoldError,
     Row,
     Shape,
-    check_bgd,
     grid_from_events,
 )
 
@@ -50,7 +49,7 @@ class NotSwitchable(RibbonfoldError):
 
 
 class RewriteError(RibbonfoldError):
-    """A rewrite produced an invalid grid; indicates an internal bug."""
+    """Normalization finished off normal form; indicates an internal bug."""
 
 
 def _convertible(r: Row) -> bool:
@@ -70,11 +69,6 @@ def is_normal_form(g: BinaryGridDiagram) -> bool:
         elif seen_max:
             return False
     return True
-
-
-def _require(problems: List[str], what: str) -> None:
-    if problems:
-        raise RewriteError(f"{what}: " + "; ".join(problems))
 
 
 def _events(g: BinaryGridDiagram, convert: Container[int] = ()) -> List[Event]:
@@ -131,21 +125,13 @@ def _events(g: BinaryGridDiagram, convert: Container[int] = ()) -> List[Event]:
     return out
 
 
-def _grid(events: List[Event]) -> BinaryGridDiagram:
-    """The grid of ``events`` (see ``grid_from_events``), fully checked."""
-    g = grid_from_events(events)
-    _require(check_bgd(g), "rewrite produced an invalid grid")
-    return g
-
-
 def convert_block(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
     """Replace row i (a TRANS or crossed MAX) by cups and plain caps.
 
     A sideways move becomes a cup plus a cap swallowing the old strand;
     a crossed cap becomes a cup over the same vertical plus two plain
     caps (see ``_events``). The other rows stay as they are, and the
-    columns are renumbered as in ``normalize``. ``g`` must be a valid
-    grid; the result gets the full check.
+    columns are renumbered as in ``normalize``.
     """
     if not 0 <= i < len(g.rows):
         raise IndexError(f"row {i} out of range")
@@ -153,7 +139,7 @@ def convert_block(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
     if not _convertible(r):
         raise NotConvertible(
             f"row {i} is {r.block_type.name}; only B2, B2r and B3 convert")
-    return _grid(_events(g, (i,)))
+    return grid_from_events(_events(g, (i,)))
 
 
 def switch_adjacent(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
@@ -163,7 +149,6 @@ def switch_adjacent(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
     is reborn just below the cap, around the same crossed strand or just
     left of the same neighbour strand, and the columns are renumbered as
     in ``normalize``. Every row of ``g`` must be a cup or a plain cap.
-    ``g`` must be a valid grid; the result gets the full check.
     """
     if not 0 <= i < len(g.rows) - 1:
         raise IndexError(f"no adjacent pair at row {i}")
@@ -181,7 +166,7 @@ def switch_adjacent(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
 
     events = _events(g)
     events[i], events[i + 1] = events[i + 1], events[i]
-    return _grid(events)
+    return grid_from_events(events)
 
 
 def normalize(
@@ -195,18 +180,17 @@ def normalize(
     converted, and the events are replayed with all cups before all
     caps. The counted blocks (everything except plain caps) are
     conserved, so afterwards B1 + B1r equals the old B1 + B2 + B3 + B1r
-    + B2r. The input and the result each get one full ``check_bgd``;
-    RewriteError if either fails. With ``trace``, each step is appended:
-    one grid per convert, bottom to top, with the rows below it
-    converted too, then one per cap raised past a cup, always the lowest
-    such pair; the last of those equals the result.
+    + B2r. Every grid is checked once, when it is made, so ``g`` is not
+    checked again. With ``trace``, each step is appended: one grid per
+    convert, bottom to top, with the rows below it converted too, then
+    one per cap raised past a cup, always the lowest such pair; the
+    last of those equals the result.
     """
-    _require(check_bgd(g), "normalize was given an invalid grid")
     if is_normal_form(g):
         return g
     events = _events(g, range(len(g.rows)))
     # a stable sort: every cup, in order, before every cap
-    out = _grid(sorted(events, key=lambda ev: ev[0] is Shape.MAX))
+    out = grid_from_events(sorted(events, key=lambda ev: ev[0] is Shape.MAX))
     if not is_normal_form(out):
         raise RewriteError("normalization finished off normal form")
     if trace is None:
@@ -216,13 +200,13 @@ def normalize(
     for i, r in enumerate(g.rows):
         if _convertible(r):
             trace.append((f"convert {r.block_type.name} at row {i + added}",
-                          _grid(_events(g, range(i + 1)))))
+                          grid_from_events(_events(g, range(i + 1)))))
             added += 1 if r.shape is Shape.TRANS else 2
     j = 0
     while j < len(events) - 1:
         if events[j][0] is Shape.MAX and events[j + 1][0] is Shape.MIN:
             events[j], events[j + 1] = events[j + 1], events[j]
-            trace.append((f"raise cap past row {j + 1}", _grid(events)))
+            trace.append((f"raise cap past row {j + 1}", grid_from_events(events)))
             j = max(j - 1, 0)  # the next lowest pair is no lower than j - 1
         else:
             j += 1

@@ -1,6 +1,6 @@
 """Tiny script-driven grid builder shared by the test modules."""
 
-from ribbonfold.model import BinaryGridDiagram, Shape, make_row
+from ribbonfold.model import Shape, stack_rows
 
 
 def build(script):
@@ -10,12 +10,8 @@ def build(script):
          ("MAX", a, b[, crossed]) terminates columns a and b,
          ("TRANS", down, up[, crossed]) continues column down as column up.
     """
-    rows = []
-    below = ()
-    for kind, x, y, *rest in script:
-        rows.append(make_row(Shape(kind), x, y, rest[0] if rest else None, below))
-        below = rows[-1].columns_above
-    return BinaryGridDiagram(tuple(rows))
+    return stack_rows((Shape(kind), x, y, rest[0] if rest else None)
+                      for kind, x, y, *rest in script)
 
 
 # 30 cups nested in one outer cup, then the caps from the inside out: the

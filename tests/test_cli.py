@@ -88,6 +88,15 @@ def test_grid_with_decreasing_extent_exits_one(tmp_path, capsys, text):
     assert "extent" in capsys.readouterr().err
 
 
+def test_grid_only_the_grid_check_rejects_exits_one(tmp_path, capsys):
+    p = tmp_path / "bad.bgd"
+    p.write_text("MIN extent=[1,4] ends=(up,up)\nMIN extent=[2,3] ends=(up,up)\n"
+                 "MAX extent=[1,4] ends=(down,down)\nMAX extent=[2,3] ends=(down,down)\n")
+    assert run_command(["bound", str(p)]) == 1
+    assert capsys.readouterr().err == (
+        "error: row 2: uncrossed row has strands [2, 3] inside extent\n")
+
+
 def test_bound_unknot_needs_flag(tmp_path, capsys):
     p = tmp_path / "loop.pd"
     p.write_text("\n")
@@ -233,6 +242,25 @@ def test_verify_reports_all_stages(trefoil_pd, capsys):
     names = [s["stage"] for s in report["stages"]]
     assert names == ["leveling", "flips", "expansion", "rewrite", "layout"]
     assert all(s["ok"] for s in report["stages"])
+
+
+def test_verify_runs_the_oracle_once_per_distinct_diagram(trefoil_pd, monkeypatch):
+    import ribbonfold.cli as cli
+
+    runs = []
+    oracle = cli.jones_fingerprint
+
+    def counting(d):
+        runs.append(d)
+        return oracle(d)
+
+    monkeypatch.setattr(cli, "jones_fingerprint", counting)
+    for flags in ([], ["--per-step"]):
+        runs.clear()
+        assert run_command(["verify", str(trefoil_pd), *flags]) == 0
+        # the input and three flips; the expansion, every rewrite step
+        # and the pile's core all read back as one diagram
+        assert len(runs) == len(set(runs)) == 5
 
 
 def test_verify_figure_eight(tmp_path, capsys):

@@ -152,6 +152,16 @@ def test_parse_errors(bad, msg):
         parse_bgd(bad)
 
 
+def test_parse_reports_what_only_the_grid_check_catches():
+    # every line parses and every column opens and closes, but the second
+    # cup and the first cap have strands inside their extent
+    text = ("MIN extent=[1,4] ends=(up,up)\nMIN extent=[2,3] ends=(up,up)\n"
+            "MAX extent=[1,4] ends=(down,down)\nMAX extent=[2,3] ends=(down,down)\n")
+    with pytest.raises(BgdFormatError,
+                       match=r"^row 2: uncrossed row has strands \[2, 3\] inside extent$"):
+        parse_bgd(text)
+
+
 def test_flipped_expansion_still_reads_back():
     # expansion must be sound for every flip, not just the optimized one
     for name in ("3_1", "5_2", "L4a1", "6_1"):

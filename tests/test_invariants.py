@@ -13,7 +13,7 @@ from ribbonfold.invariants import (
 )
 from ribbonfold.ingest import bundled_table
 from ribbonfold.laurent import LaurentPoly
-from ribbonfold.model import Crossing, PlanarDiagram, RoutingError, validate_diagram
+from ribbonfold.model import Crossing, PlanarDiagram, validate_diagram
 from bracket_reference import reference_bracket
 from grids import build
 from randbraids import random_closures
@@ -172,7 +172,7 @@ def test_bgd_to_pd_clasp_is_hopf():
 
 def test_bgd_to_pd_rejects_broken_grid():
     g = build([("MIN", 1, 2), ("MAX", 1, 2)])
-    from ribbonfold.model import BinaryGridDiagram
+    from ribbonfold.model import BinaryGridDiagram, InvalidGrid
 
-    with pytest.raises(RoutingError):
+    with pytest.raises(InvalidGrid, match="zero strands"):
         bgd_to_pd(BinaryGridDiagram((g.rows[0],)))

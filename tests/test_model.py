@@ -1,16 +1,20 @@
 from fractions import Fraction
 
+import pytest
+
 from ribbonfold.model import (
     BinaryGridDiagram,
     BlockType,
     Crossing,
     EndKind,
+    InvalidGrid,
     PlanarDiagram,
     PortionType,
     Row,
     Shape,
     check_bgd,
     check_row,
+    make_row,
     validate_diagram,
 )
 from grids import build
@@ -145,9 +149,10 @@ def test_check_row_catches_problems():
 
 def test_check_bgd_catches_problems():
     g = build([("MIN", 1, 2), ("MAX", 1, 2)])
-    bad = BinaryGridDiagram((g.rows[0],))
-    assert any("zero strands" in p for p in check_bgd(bad))
+    with pytest.raises(InvalidGrid, match="zero strands"):
+        BinaryGridDiagram((g.rows[0],))
     # stitch together rows with disagreeing column lists
-    r0 = build([("MIN", 1, 2)]).rows[0]
+    r0 = make_row(Shape.MIN, 1, 2, None, ())
     r1 = build([("MIN", 3, 4), ("MAX", 3, 4)]).rows[1]
-    assert any("disagree" in p for p in check_bgd(BinaryGridDiagram((r0, r1))))
+    with pytest.raises(InvalidGrid, match="disagree"):
+        BinaryGridDiagram((r0, r1))

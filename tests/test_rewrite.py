@@ -9,11 +9,10 @@ from ribbonfold.expand import build_bgd
 from ribbonfold.ingest import bundled_table
 from ribbonfold.invariants import bgd_to_pd, jones_fingerprint
 from ribbonfold.leveling import find_leveling, optimize_flips
-from ribbonfold.model import BinaryGridDiagram, RoutingError, Shape, check_bgd
+from ribbonfold.model import BinaryGridDiagram, InvalidGrid, RoutingError, Shape, check_bgd
 from ribbonfold.rewrite import (
     NotConvertible,
     NotSwitchable,
-    RewriteError,
     _convertible,
     _events,
     convert_block,
@@ -118,10 +117,6 @@ def test_switch_overlapping_plain_cup():
 def test_switch_guards():
     with pytest.raises(NotSwitchable, match="not a plain cap"):
         switch_adjacent(CLASP, 0)
-    g = build([
-        ("MIN", 1, 3), ("MIN", 2, 4, 3), ("MAX", 2, 4),
-        ("MAX", 1, 3),
-    ])
     # row 2 is a plain cap but a crossed cap would sit above after a swap
     with pytest.raises(NotSwitchable):
         switch_adjacent(build([
@@ -278,11 +273,42 @@ def test_random_generator_is_deterministic():
     assert a == b
 
 
+def test_stages_do_not_recheck_the_grids_they_are_given(monkeypatch):
+    import sys
+
+    from ribbonfold import model
+    from ribbonfold.layout import build_pile, core_diagram
+
+    checked = []
+    check = model.check_bgd
+
+    def counting(g):
+        checked.append(g)
+        return check(g)
+
+    # every module holding check_bgd, so a stage that imports it and
+    # checks again is counted too
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "ribbonfold":
+            for key, value in list(vars(mod).items()):
+                if value is check:
+                    monkeypatch.setattr(mod, key, counting)
+    gn = normalize(KINK)
+    assert len(checked) == 1  # the one grid it made
+    checked.clear()
+    assert normalize(gn) is gn
+    s = build_pile(gn)
+    bgd_to_pd(gn)
+    assert checked == []
+    core_diagram(s)
+    assert len(checked) == 1  # the grid it reads the core from
+
+
 def test_normalize_rejects_invalid_input():
     g = build([("MIN", 1, 2), ("MIN", 3, 4), ("MAX", 3, 4), ("MAX", 1, 2)])
-    with pytest.raises(RewriteError, match="invalid grid"):
+    with pytest.raises(InvalidGrid, match="does not end with zero strands"):
         normalize(BinaryGridDiagram(g.rows[:3]))
     rows = list(KINK.rows)
     rows[1] = replace(rows[1], crossed_column=None)
-    with pytest.raises(RewriteError, match="invalid grid"):
+    with pytest.raises(InvalidGrid, match=r"uncrossed row has strands \[6\] inside extent"):
         normalize(BinaryGridDiagram(tuple(rows)))
