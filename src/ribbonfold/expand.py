@@ -25,9 +25,7 @@ from .model import (
     RibbonfoldError,
     Row,
     Shape,
-    end_columns,
     grid_from_events,
-    make_row,
 )
 
 __all__ = [
@@ -204,13 +202,13 @@ def bgd_to_text(g: BinaryGridDiagram) -> str:
 def parse_bgd(text: str) -> BinaryGridDiagram:
     """Parse the text form back into a grid diagram.
 
-    Column occupancy between rows is reconstructed from the row sequence.
     The ``elbow`` end token is accepted for MIN and MAX rows, where the
-    direction is forced by the shape, but rejected for TRANS rows. A
-    grid that fails ``check_bgd`` is a BgdFormatError listing its problems.
+    direction is forced by the shape, but rejected for TRANS rows. Each
+    line is checked on its own here; the columns open between rows are
+    replayed by ``check_bgd``, and a grid that fails it, or has no rows,
+    is a BgdFormatError listing its problems.
     """
     rows: List[Row] = []
-    active: Tuple[int, ...] = ()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -236,21 +234,10 @@ def parse_bgd(text: str) -> BinaryGridDiagram:
         if end_kinds not in END_KINDS[shape]:
             raise BgdFormatError(
                 f"line {lineno}: ends {tuple(kinds)} illegal for {shape.value}")
+        rows.append(Row(shape, (lo, hi), end_kinds, crossed))
 
-        consumed, created = end_columns(shape, (lo, hi), end_kinds)
-        for c in consumed:
-            if c not in active:
-                raise BgdFormatError(f"line {lineno}: column {c} is not open")
-        for c in created:
-            if c in active:
-                raise BgdFormatError(f"line {lineno}: column {c} is already open")
-        # a TRANS row continues its down end as its up end
-        a, b = (lo, hi) if end_kinds[0] is EndKind.DOWN else (hi, lo)
-        rows.append(make_row(shape, a, b, crossed, active))
-        active = rows[-1].columns_above
-
-    if active:
-        raise BgdFormatError(f"columns {list(active)} still open at the top")
+    if not rows:
+        raise BgdFormatError("no grid rows in input")
     try:
         return BinaryGridDiagram(tuple(rows))
     except InvalidGrid as e:

@@ -29,12 +29,12 @@ from typing import Dict, List, Optional, Tuple
 from .laurent import LaurentPoly
 from .model import (
     BinaryGridDiagram,
+    Col,
     Crossing,
     EndKind,
     PlanarDiagram,
     RibbonfoldError,
     RoutingError,
-    Shape,
     UnionFind,
     validate_diagram,
 )
@@ -246,44 +246,41 @@ def jones_fingerprint(d: PlanarDiagram, cap: int = DEFAULT_CAP) -> Tuple[str, ..
 # ---------------------------------------------------------------------------
 
 
-def _row_port(i: int, col, kind: EndKind):
-    """Port of a row end at column col: below the row for DOWN, above for UP."""
-    return ("p", i if kind is EndKind.DOWN else i + 1, col)
-
-
 def bgd_to_pd(g: BinaryGridDiagram) -> PlanarDiagram:
     """Read the grid core back as a planar diagram.
 
     One crossing per crossed row, slots in counterclockwise order
     (below-vertical, right-horizontal, above-vertical, left-horizontal),
-    which puts the horizontal over-strand on the 1-3 diagonal. ``g`` is
-    valid by construction, so it is not checked again.
+    which puts the horizontal over-strand on the 1-3 diagonal. Each open
+    column holds one union-find node for its current vertical segment,
+    so a strand that passes a row costs nothing. ``g`` is valid by
+    construction, so it is not checked again.
     """
     uf = UnionFind()
-    crossings_rows: List[int] = []
+    segment: Dict[Col, object] = {}  # open column -> its vertical segment
+    k = 0  # crossings so far
     for i, row in enumerate(g.rows):
-        a, b = row.extent
-        left = _row_port(i, a, row.end_kinds[0])
-        right = _row_port(i, b, row.end_kinds[1])
-        if row.crossed_column is not None:
-            k = len(crossings_rows)
-            crossings_rows.append(i)
-            uf.union(("x", k, 0), ("p", i, row.crossed_column))
-            uf.union(("x", k, 2), ("p", i + 1, row.crossed_column))
-            uf.union(("x", k, 3), left)
-            uf.union(("x", k, 1), right)
-        else:
+        # a down end closes its column's segment, an up end starts a new one
+        left, right = (
+            segment.pop(c) if kind is EndKind.DOWN
+            else segment.setdefault(c, ("p", i, c))
+            for c, kind in zip(row.extent, row.end_kinds)
+        )
+        x = row.crossed_column
+        if x is None:
             uf.union(left, right)
-        passing = set(row.columns_below) & set(row.columns_above)
-        passing.discard(row.crossed_column)
-        for c in passing:
-            uf.union(("p", i, c), ("p", i + 1, c))
+            continue
+        uf.union(("x", k, 0), segment[x])
+        segment[x] = ("x", k, 2)
+        uf.union(("x", k, 3), left)
+        uf.union(("x", k, 1), right)
+        k += 1
 
     # group terminals by class
     classes: Dict[object, List[Tuple[int, int]]] = {}
-    for k in range(len(crossings_rows)):
+    for j in range(k):
         for s in range(4):
-            classes.setdefault(uf.find(("x", k, s)), []).append((k, s))
+            classes.setdefault(uf.find(("x", j, s)), []).append((j, s))
     free_loops = 0
     seen_roots = set(classes)
     for key in list(uf.parent):
@@ -303,9 +300,9 @@ def bgd_to_pd(g: BinaryGridDiagram) -> PlanarDiagram:
         edge_of[root] = eid
 
     crossings = []
-    for k in range(len(crossings_rows)):
-        slots = tuple(edge_of[uf.find(("x", k, s))] for s in range(4))
-        crossings.append(Crossing(id=k, slots=slots, over_pair=1))
+    for j in range(k):
+        slots = tuple(edge_of[uf.find(("x", j, s))] for s in range(4))
+        crossings.append(Crossing(id=j, slots=slots, over_pair=1))
     out = PlanarDiagram(tuple(crossings), free_loops)
     issues = validate_diagram(out)
     if issues:

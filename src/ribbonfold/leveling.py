@@ -15,7 +15,7 @@ a T1, the cap of a T3) passes over the strand running through.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .ingest import detect_nugatory
 from .model import (
@@ -115,7 +115,8 @@ def _search(diagram: PlanarDiagram,
 
     With ``fixed``, crossings are placed in that order and only the arcs
     are searched. Returns the first leveling found, or None when there is
-    none.
+    none. The search keeps its own stack of move generators, one per
+    placed crossing, so its depth is not bounded by Python's recursion.
     """
     n = len(diagram.crossings)
     inc = diagram.incidences()
@@ -125,11 +126,9 @@ def _search(diagram: PlanarDiagram,
     levels: List[Tuple[int, ...]] = [()]
     portions: List[PortionType] = []
 
-    def dfs() -> Optional[LeveledDiagram]:
+    def moves() -> Iterator[Tuple[int, int, Tuple[int, ...], PortionType]]:
+        """The placements to try next, in order: (crossing, arc, level, portion)."""
         k = len(order)
-        if k == n:
-            return LeveledDiagram(diagram, tuple(order), tuple(arcs),
-                                  tuple(portions), tuple(levels))
         open_seq = levels[-1]
         cands = []
         saturated = 0
@@ -141,7 +140,7 @@ def _search(diagram: PlanarDiagram,
                 saturated += 1
             cands.append((ci, downs))
         if saturated >= 2:
-            return None
+            return
         for ci, downs in cands:
             d = len(downs)
             if k == 0:
@@ -152,24 +151,30 @@ def _search(diagram: PlanarDiagram,
             x = diagram.crossings[ci]
             for a in range(4):
                 nxt = _attach(open_seq, x.slots, downs, a)
-                if nxt is None:
-                    continue
-                placed[ci] = True
-                order.append(ci)
-                arcs.append(a)
-                levels.append(nxt)
-                portions.append(classify_portion(d, a, x.over_pair))
-                found = dfs()
-                if found is not None:
-                    return found
-                placed[ci] = False
-                order.pop()
-                arcs.pop()
-                levels.pop()
-                portions.pop()
-        return None
+                if nxt is not None:
+                    yield ci, a, nxt, classify_portion(d, a, x.over_pair)
 
-    return dfs()
+    stack = [moves()]
+    while len(order) < n:
+        move = next(stack[-1], None)
+        if move is None:  # undo the placement that led here
+            stack.pop()
+            if not stack:
+                return None
+            placed[order.pop()] = False
+            arcs.pop()
+            levels.pop()
+            portions.pop()
+            continue
+        ci, a, nxt, portion = move
+        placed[ci] = True
+        order.append(ci)
+        arcs.append(a)
+        levels.append(nxt)
+        portions.append(portion)
+        stack.append(moves())
+    return LeveledDiagram(diagram, tuple(order), tuple(arcs),
+                          tuple(portions), tuple(levels))
 
 
 def find_leveling(diagram: PlanarDiagram) -> LeveledDiagram:

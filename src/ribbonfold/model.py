@@ -10,6 +10,9 @@ Conventions used throughout:
   segment always passes over any vertical strand it crosses. Over/under
   data of the original diagram is realized by choosing which strand
   becomes the horizontal one.
+* A ``Row`` is its shape, extent, end kinds and crossed column. The
+  columns open between rows are not stored: ``check_bgd``, the rewrite
+  and the readback each replay them from the bottom row up.
 * Only the left-to-right order of the strands matters. ``expand`` and
   the rewrite both build grids as events on strand identities (see
   ``Event``), and ``grid_from_events`` alone numbers the strands 1, 2,
@@ -29,7 +32,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 Col = Union[int, Fraction]
 
@@ -313,15 +316,10 @@ class Shape(enum.Enum):
     TRANS = "TRANS"  # one strand in from below, one out upward
     MAX = "MAX"      # terminates 2 strands (cap)
 
-    @property
-    def delta(self) -> int:
-        return {"MIN": 2, "TRANS": 0, "MAX": -2}[self.value]
-
 
 class EndKind(enum.Enum):
     UP = "up"        # end starts a new upward vertical strand
     DOWN = "down"    # end terminates a strand arriving from below
-    ELBOW = "elbow"  # input-only token; resolved to up/down at parse time
 
 
 @dataclass(frozen=True)
@@ -346,24 +344,18 @@ class Row:
 
     ``extent`` is the horizontal segment's (left, right) column span.
     ``crossed_column`` is the single vertical strand the segment passes
-    over, or None. Column lists are the open vertical strands crossing the
-    level line just below / just above this row, in left-to-right order.
+    over, or None. The columns open below and above a row follow from
+    the rows below it; ``check_bgd`` replays them.
     """
 
     shape: Shape
     extent: Tuple[Col, Col]
     end_kinds: Tuple[EndKind, EndKind]
     crossed_column: Optional[Col]
-    columns_below: Tuple[Col, ...]
-    columns_above: Tuple[Col, ...]
 
     @property
     def block_type(self) -> BlockType:
         return BlockType(self.shape, self.crossed_column is not None)
-
-    @property
-    def delta(self) -> int:
-        return self.shape.delta
 
 
 # the legal (left, right) end kinds of each shape
@@ -374,87 +366,18 @@ END_KINDS: Dict[Shape, Tuple[Tuple[EndKind, EndKind], ...]] = {
 }
 
 
-def end_columns(shape: Shape, extent: Tuple[Col, Col], end_kinds: Tuple[EndKind, EndKind]
-                ) -> Tuple[Tuple[Col, ...], Tuple[Col, ...]]:
-    """The columns a row's ends consume from below and create above."""
-    a, b = extent
-    if shape is Shape.MIN:
-        return (), (a, b)
-    if shape is Shape.MAX:
-        return (a, b), ()
-    return ((a,), (b,)) if end_kinds[0] is EndKind.DOWN else ((b,), (a,))
-
-
-def make_row(shape: Shape, a: Col, b: Col, crossed: Optional[Col],
-             below: Sequence[Col]) -> Row:
-    """The row of ``shape`` over the sorted open columns ``below``.
+def make_row(shape: Shape, a: Col, b: Col, crossed: Optional[Col]) -> Row:
+    """The row of ``shape`` between columns a and b.
 
     A TRANS row continues column a as column b; a cup (MIN) or cap (MAX)
-    spans [min(a, b), max(a, b)]. The columns above are ``below`` minus
-    the ends the row consumes plus the ends it creates, kept sorted.
+    spans [min(a, b), max(a, b)].
     """
     extent = (a, b) if a < b else (b, a)
     if shape is Shape.TRANS:  # (down, up) when the strand moves right
         kinds = END_KINDS[shape][0 if a < b else 1]
     else:
         (kinds,) = END_KINDS[shape]
-    consumed, created = end_columns(shape, extent, kinds)
-    above = [v for v in below if v not in consumed]
-    for v in created:
-        bisect.insort(above, v)
-    return Row(shape, extent, kinds, crossed, tuple(below), tuple(above))
-
-
-def check_row(row: Row) -> List[str]:
-    """Structural problems with a single row (empty list if none)."""
-    problems: List[str] = []
-    a, b = row.extent
-    if not a < b:
-        problems.append(f"extent {row.extent} not strictly increasing")
-    lo, hi = row.columns_below, row.columns_above
-    if list(lo) != sorted(lo) or len(set(lo)) != len(lo):
-        problems.append("columns_below not strictly increasing")
-    if list(hi) != sorted(hi) or len(set(hi)) != len(hi):
-        problems.append("columns_above not strictly increasing")
-    if len(hi) - len(lo) != row.shape.delta:
-        problems.append(
-            f"strand delta {len(hi) - len(lo)} does not match shape {row.shape.value}"
-        )
-
-    if row.end_kinds not in END_KINDS[row.shape]:
-        problems.append(
-            f"end kinds {tuple(k.value for k in row.end_kinds)} illegal for {row.shape.value}"
-        )
-        return problems
-
-    s_lo, s_hi = set(lo), set(hi)
-    consumed, created = end_columns(row.shape, row.extent, row.end_kinds)
-    for c in consumed:
-        if c not in s_lo:
-            problems.append(f"consumed column {c} absent below")
-    for c in created:
-        if c in s_lo:
-            problems.append(f"created column {c} already open below")
-        if c not in s_hi:
-            problems.append(f"created column {c} absent above")
-    if s_hi != (s_lo - set(consumed)) | set(created):
-        problems.append("columns_above is not columns_below minus consumed plus created")
-
-    # the binary condition: strands passing the row strictly inside the
-    # extent must be exactly the crossed column (one or none)
-    passing = s_lo - set(consumed)
-    inside = sorted(c for c in passing if a < c < b)
-    if row.crossed_column is None:
-        if inside:
-            problems.append(f"uncrossed row has strands {inside} inside extent")
-    else:
-        if inside != [row.crossed_column]:
-            problems.append(
-                f"crossed row expects exactly [{row.crossed_column}] inside extent, got {inside}"
-            )
-        if row.crossed_column not in s_lo or row.crossed_column not in s_hi:
-            problems.append("crossed column must pass through the row")
-    return problems
+    return Row(shape, extent, kinds, crossed)
 
 
 @dataclass(frozen=True)
@@ -483,28 +406,44 @@ class BinaryGridDiagram:
 def check_bgd(g: BinaryGridDiagram) -> List[str]:
     """Structural problems with a grid diagram (empty list if none).
 
-    Each row is checked on its own (``check_row``), each pair of
-    neighbouring rows must agree on the columns between them, the grid
-    must start and end with zero strands, and the cups must match the
-    caps in number. ``BinaryGridDiagram`` runs it on every grid made.
+    Replays the open columns bottom to top, starting with none: each
+    row's down ends must close open columns, its up ends must open new
+    ones, the strands left strictly inside its extent must be exactly
+    its crossed column (one or none), and no column may be open at the
+    top. ``BinaryGridDiagram`` runs it on every grid made.
     """
     problems: List[str] = []
-    rows = g.rows
-    if not rows:
-        return problems
-    if rows[0].columns_below:
-        problems.append("diagram does not start with zero strands")
-    if rows[-1].columns_above:
+    open_cols: List[Col] = []  # sorted
+    for i, r in enumerate(g.rows):
+        a, b = r.extent
+        if not a < b:
+            problems.append(f"row {i}: extent {r.extent} not strictly increasing")
+        if r.end_kinds not in END_KINDS[r.shape]:
+            problems.append(f"row {i}: end kinds {tuple(k.value for k in r.end_kinds)} "
+                            f"illegal for {r.shape.value}")
+        # down ends first: a sideways row closes its old column, then opens
+        for c, kind in sorted(zip(r.extent, r.end_kinds),
+                              key=lambda end: end[1] is EndKind.UP):
+            k = bisect.bisect_left(open_cols, c)
+            is_open = k < len(open_cols) and open_cols[k] == c
+            if kind is EndKind.UP and not is_open:
+                open_cols.insert(k, c)
+            elif kind is EndKind.UP:
+                problems.append(f"row {i}: created column {c} already open below")
+            elif is_open:
+                del open_cols[k]
+            else:
+                problems.append(f"row {i}: consumed column {c} absent below")
+        # the binary condition
+        inside = open_cols[bisect.bisect_right(open_cols, a):bisect.bisect_left(open_cols, b)]
+        if r.crossed_column is None:
+            if inside:
+                problems.append(f"row {i}: uncrossed row has strands {inside} inside extent")
+        elif inside != [r.crossed_column]:
+            problems.append(f"row {i}: crossed row expects exactly [{r.crossed_column}] "
+                            f"inside extent, got {inside}")
+    if open_cols:
         problems.append("diagram does not end with zero strands")
-    for i, r in enumerate(rows):
-        for p in check_row(r):
-            problems.append(f"row {i}: {p}")
-        if i + 1 < len(rows) and r.columns_above != rows[i + 1].columns_below:
-            problems.append(f"rows {i}/{i + 1}: column lists disagree")
-    n_min = sum(1 for r in rows if r.shape is Shape.MIN)
-    n_max = sum(1 for r in rows if r.shape is Shape.MAX)
-    if n_min != n_max:
-        problems.append(f"{n_min} min rows vs {n_max} max rows")
     return problems
 
 
@@ -585,14 +524,9 @@ def _columns(events: List[Event]) -> Dict[int, int]:
 
 
 def stack_rows(specs: Iterable[Tuple[Shape, Col, Col, Optional[Col]]]) -> BinaryGridDiagram:
-    """The grid whose rows, bottom to top, are the specs (shape, a, b,
-    crossed), each made by ``make_row`` over the columns left open below."""
-    rows: List[Row] = []
-    below: Tuple[Col, ...] = ()
-    for shape, a, b, crossed in specs:
-        rows.append(make_row(shape, a, b, crossed, below))
-        below = rows[-1].columns_above
-    return BinaryGridDiagram(tuple(rows))
+    """The grid whose rows, bottom to top, are ``make_row`` of the specs
+    (shape, a, b, crossed)."""
+    return BinaryGridDiagram(tuple(make_row(*spec) for spec in specs))
 
 
 def grid_from_events(events: List[Event]) -> BinaryGridDiagram:

@@ -79,7 +79,8 @@ def _events(g: BinaryGridDiagram, convert: Container[int] = ()) -> List[Event]:
     cup's near leg; the far leg goes on. A converted crossed cap is a cup
     over the same strand plus a plain cap on each side of it.
     """
-    strand: Dict[Col, int] = {}
+    strand: Dict[Col, int] = {}  # open column -> its strand
+    cols: List[Col] = []  # the open columns, sorted
     n = 0  # the next strand id
     out: List[Event] = []
     for i, r in enumerate(g.rows):
@@ -87,6 +88,8 @@ def _events(g: BinaryGridDiagram, convert: Container[int] = ()) -> List[Event]:
         x = None if r.crossed_column is None else strand[r.crossed_column]
         if r.shape is Shape.MAX:
             a, b = strand.pop(lo), strand.pop(hi)
+            cols.remove(lo)
+            cols.remove(hi)
             if x is None or i not in convert:
                 out.append((Shape.MAX, a, b, x, None))
             else:
@@ -97,18 +100,24 @@ def _events(g: BinaryGridDiagram, convert: Container[int] = ()) -> List[Event]:
             continue
         # the column born at the row's right end (a cup's right leg, a
         # sideways row's new end) and, where a birth needs it, the strand
-        # just right of that column
+        # open just right of that column below the row (a sideways row
+        # moving left: the strand it ends, or the one it crosses)
         new = lo if r.end_kinds[1] is EndKind.DOWN else hi
         anchor = None
         if x is None or r.shape is Shape.TRANS:
-            k = bisect.bisect_right(r.columns_below, new)
-            anchor = strand[r.columns_below[k]] if k < len(r.columns_below) else None
+            k = bisect.bisect_right(cols, new)
+            anchor = strand[cols[k]] if k < len(cols) else None
         if r.shape is Shape.MIN:
             strand[lo], strand[hi] = n, n + 1
+            bisect.insort(cols, lo)
+            bisect.insort(cols, hi)
             out.append((Shape.MIN, n, n + 1, x, anchor))
             n += 2
             continue
-        s = strand.pop(hi if new == lo else lo)
+        old = hi if new == lo else lo
+        s = strand.pop(old)
+        cols.remove(old)
+        bisect.insort(cols, new)
         if i not in convert:
             strand[new] = n
             out.append((Shape.TRANS, s, n, x, anchor))

@@ -22,12 +22,8 @@ def _fresh(lo, hi, used):
 
 
 def column_values(g):
-    """Every column that the rows of ``g`` mention."""
-    used = set()
-    for r in g.rows:
-        used.update(r.columns_below)
-        used.update(r.columns_above)
-    return used
+    """Every column that the rows of ``g`` mention: each is opened by a row end."""
+    return {c for r in g.rows for c in r.extent}
 
 
 def reference_convert(g, i, used):
@@ -37,7 +33,6 @@ def reference_convert(g, i, used):
     """
     r = g.rows[i]
     assert _convertible(r), r.block_type.name
-    s = r.columns_below
     rows = list(g.rows)
     if r.shape is Shape.TRANS:
         lo, hi = r.extent
@@ -49,17 +44,17 @@ def reference_convert(g, i, used):
             p = _fresh(src, x, used)
         else:
             p = _fresh(x, src, used)
-        cup = make_row(Shape.MIN, p, dst, x, s)
-        cap = make_row(Shape.MAX, src, p, None, cup.columns_above)
+        cup = make_row(Shape.MIN, p, dst, x)
+        cap = make_row(Shape.MAX, src, p, None)
         rows[i:i + 1] = [cup, cap]
     else:
         a, b = r.extent
         x = r.crossed_column
         p = _fresh(a, x, used)
         q = _fresh(x, b, used | {p})
-        cup = make_row(Shape.MIN, p, q, x, s)
-        cap1 = make_row(Shape.MAX, a, p, None, cup.columns_above)
-        cap2 = make_row(Shape.MAX, q, b, None, cap1.columns_above)
+        cup = make_row(Shape.MIN, p, q, x)
+        cap1 = make_row(Shape.MAX, a, p, None)
+        cap2 = make_row(Shape.MAX, q, b, None)
         rows[i:i + 1] = [cup, cap1, cap2]
     return BinaryGridDiagram(tuple(rows))
 

@@ -26,9 +26,15 @@ class _Builder:
         self.rows = []
 
     def row(self, shape, a, b, crossed):
-        r = make_row(shape, a, b, crossed, self.active)
-        self.rows.append(r)
-        self.active = r.columns_above
+        self.rows.append(make_row(shape, a, b, crossed))
+        active = set(self.active)
+        if shape is Shape.MIN:
+            active |= {a, b}
+        elif shape is Shape.MAX:
+            active -= {a, b}
+        else:  # a sideways row continues column a as column b
+            active = active - {a} | {b}
+        self.active = tuple(sorted(active))
 
     def left_gap(self, p):
         """A fresh column left of position p."""
@@ -104,7 +110,6 @@ def compress_columns(g):
 
     def renumber(r):
         x = None if r.crossed_column is None else rank(r.crossed_column)
-        return Row(r.shape, tuple(map(rank, r.extent)), r.end_kinds, x,
-                   tuple(map(rank, r.columns_below)), tuple(map(rank, r.columns_above)))
+        return Row(r.shape, tuple(map(rank, r.extent)), r.end_kinds, x)
 
     return BinaryGridDiagram(tuple(renumber(r) for r in g.rows))

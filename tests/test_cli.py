@@ -97,6 +97,27 @@ def test_grid_only_the_grid_check_rejects_exits_one(tmp_path, capsys):
         "error: row 2: uncrossed row has strands [2, 3] inside extent\n")
 
 
+@pytest.mark.parametrize("text", ["", "# a comment and no rows\n"])
+@pytest.mark.parametrize("command", [["bound"], ["layout", "-o", "out.svg"], ["verify"]])
+def test_grid_with_no_rows_exits_one(tmp_path, monkeypatch, capsys, command, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.bgd").write_text(text)
+    assert run_command([command[0], "empty.bgd", *command[1:]]) == 1
+    assert capsys.readouterr().err == "error: no grid rows in input\n"
+    assert not (tmp_path / "out.svg").exists()
+
+
+def test_bound_ladder_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # the leveling search places 1000 crossings without recursing
+    from ribbonfold.ingest import emit_pd
+    from ladder import ladder
+
+    p = tmp_path / "ladder1000.pd"
+    p.write_text(emit_pd(ladder(1000)) + "\n")
+    assert run_command(["bound", str(p)]) == 0
+    assert _json_out(capsys)["certified_bound"] == 2002
+
+
 def test_bound_unknot_needs_flag(tmp_path, capsys):
     p = tmp_path / "loop.pd"
     p.write_text("\n")

@@ -72,8 +72,6 @@ def test_columns_are_small_ints():
             cols = set()
             for r in build_bgd(ld).rows:
                 cols.update(r.extent)
-                cols.update(r.columns_below)
-                cols.update(r.columns_above)
             assert cols == set(range(1, len(cols) + 1)), entry.name
             assert all(type(c) is int for c in cols), entry.name
 
@@ -140,9 +138,9 @@ def test_elbow_tokens():
 
 @pytest.mark.parametrize("bad,msg", [
     ("MIN span=[1,2] ends=(up,up)", "unrecognized"),
-    ("MAX extent=[1,2] ends=(down,down)", "not open"),
+    ("MAX extent=[1,2] ends=(down,down)", "row 0: consumed column 1 absent below"),
     ("MIN extent=[1,2] ends=(up,up)\nMIN extent=[2,3] ends=(up,up)", "already open"),
-    ("MIN extent=[1,2] ends=(up,up)", "still open"),
+    ("MIN extent=[1,2] ends=(up,up)", "does not end with zero strands"),
     ("MIN extent=[1,2] ends=(up,down)", "illegal"),
     ("MIN extent=[1,3] ends=(up,up)\nTRANS extent=[3,2] ends=(down,up)", "line 2: extent"),
     ("MIN extent=[2,1] ends=(up,up)", "line 1: extent"),

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from ribbonfold.expand import build_bgd
 from ribbonfold.invariants import (
     D_POLY,
     TooLarge,
@@ -13,11 +16,15 @@ from ribbonfold.invariants import (
 )
 from ribbonfold.ingest import bundled_table
 from ribbonfold.laurent import LaurentPoly
-from ribbonfold.model import Crossing, PlanarDiagram, validate_diagram
+from ribbonfold.leveling import find_leveling, optimize_flips
+from ribbonfold.model import Crossing, PlanarDiagram, RoutingError, validate_diagram
+from ribbonfold.rewrite import normalize
 from bracket_reference import reference_bracket
 from grids import build
+from ladder import ladder
 from randbraids import random_closures
-from randgrids import iter_readable_grids
+from randgrids import iter_readable_grids, make_random_grid
+from readback_reference import reference_bgd_to_pd
 
 TREFOIL = PlanarDiagram(
     (
@@ -176,3 +183,44 @@ def test_bgd_to_pd_rejects_broken_grid():
 
     with pytest.raises(InvalidGrid, match="zero strands"):
         bgd_to_pd(BinaryGridDiagram((g.rows[0],)))
+
+
+def _readback(read, g):
+    """``read(g)``, or the message of the RoutingError it raises."""
+    try:
+        return read(g)
+    except RoutingError as e:
+        return f"RoutingError: {e}"
+
+
+def _readback_cases():
+    """(name, grid): the expanded and normal grids of the corpus, the
+    ladder and random closures, the stress grids and free loops."""
+    diagrams = [(e.name, e.diagram) for e in bundled_table()]
+    diagrams += [(f"ladder c={c}", ladder(c)) for c in range(8, 41, 2)]
+    diagrams += random_closures(seed=12, count=20, max_crossings=12)
+    diagrams += random_closures(seed=1320, count=12, max_crossings=20,
+                                min_crossings=13)
+    for name, d in diagrams:
+        g = build_bgd(optimize_flips(find_leveling(d))[0])
+        yield name, g
+        yield f"{name} normal", normalize(g)
+    for seed in range(200):
+        yield f"seed {seed}", make_random_grid(
+            random.Random(seed), max_crossings=30, body_ops=40)
+    yield "two free loops", build([("MIN", 1, 4), ("MIN", 2, 3),
+                                   ("MAX", 2, 3), ("MAX", 1, 4)])
+    yield "kink under a free loop", build([("MIN", 1, 3), ("MIN", 2, 4, 3),
+                                           ("MAX", 1, 2), ("MAX", 3, 4),
+                                           ("MIN", 1, 2), ("MAX", 1, 2)])
+
+
+def test_readback_matches_the_port_reference():
+    # one node per open column reads back what one port per row and
+    # column did, raising the same RoutingError where that one raised
+    failures = 0
+    for name, g in _readback_cases():
+        got = _readback(bgd_to_pd, g)
+        assert got == _readback(reference_bgd_to_pd, g), name
+        failures += isinstance(got, str)
+    assert failures == 191  # all but 10 of the stress grids, and the split kink

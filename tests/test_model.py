@@ -13,8 +13,6 @@ from ribbonfold.model import (
     Row,
     Shape,
     check_bgd,
-    check_row,
-    make_row,
     validate_diagram,
 )
 from grids import build
@@ -101,7 +99,6 @@ def test_block_type_bijection():
     assert names == {"B1", "B2", "B3", "B1r", "B2r", "B3r"}
     assert BlockType(Shape.MIN, True).name == "B1"
     assert BlockType(Shape.TRANS, False).name == "B2r"
-    assert Shape.MIN.delta == 2 and Shape.TRANS.delta == 0 and Shape.MAX.delta == -2
 
 
 def test_grid_builder_and_checks():
@@ -129,30 +126,42 @@ def test_fractional_columns_allowed():
     assert check_bgd(g) == []
 
 
+UP, DOWN = EndKind.UP, EndKind.DOWN
+
+
+def _row(shape, a, b, kinds, crossed=None):
+    return Row(Shape(shape), (a, b), kinds, crossed)
+
+
+CUP12, CAP12 = _row("MIN", 1, 2, (UP, UP)), _row("MAX", 1, 2, (DOWN, DOWN))
+NESTED = [_row("MIN", 1, 4, (UP, UP)), _row("MIN", 2, 3, (UP, UP)),
+          _row("MAX", 1, 4, (DOWN, DOWN)), _row("MAX", 2, 3, (DOWN, DOWN))]
+
+
+def _raises(rows, msg):
+    with pytest.raises(InvalidGrid) as e:
+        BinaryGridDiagram(tuple(rows))
+    assert str(e.value) == msg
+
+
 def test_check_row_catches_problems():
-    # uncrossed row with a strand inside its extent
-    r = Row(Shape.MAX, (1, 3), (EndKind.DOWN, EndKind.DOWN), None, (1, 2, 3), (2,))
-    assert any("inside extent" in p for p in check_row(r))
-    # crossed row whose crossed column is not the strand inside
-    r = Row(Shape.MAX, (1, 3), (EndKind.DOWN, EndKind.DOWN), 5, (1, 2, 3, 5), (2, 5))
-    assert check_row(r)
-    # wrong end kinds for the shape
-    r = Row(Shape.MIN, (1, 2), (EndKind.DOWN, EndKind.UP), None, (), (1, 2))
-    assert any("illegal" in p for p in check_row(r))
-    # elbow must have been resolved before model construction
-    r = Row(Shape.MIN, (1, 2), (EndKind.ELBOW, EndKind.ELBOW), None, (), (1, 2))
-    assert any("illegal" in p for p in check_row(r))
-    # strand delta mismatch
-    r = Row(Shape.TRANS, (1, 2), (EndKind.DOWN, EndKind.UP), None, (1,), (1, 2))
-    assert any("delta" in p for p in check_row(r))
+    # problems within one row, found as the grid check replays the columns
+    _raises(NESTED, "row 2: uncrossed row has strands [2, 3] inside extent")
+    _raises(NESTED[:2] + [_row("MAX", 1, 4, (DOWN, DOWN), 3), NESTED[3]],
+            "row 2: crossed row expects exactly [3] inside extent, got [2, 3]")
+    _raises([_row("MIN", 1, 2, (DOWN, UP)), CAP12],
+            "row 0: end kinds ('down', 'up') illegal for MIN; "
+            "row 0: consumed column 1 absent below; row 1: consumed column 1 absent below")
+    _raises([_row("MIN", 2, 1, (UP, UP)), _row("MAX", 2, 1, (DOWN, DOWN))],
+            "row 0: extent (2, 1) not strictly increasing; "
+            "row 1: extent (2, 1) not strictly increasing")
 
 
 def test_check_bgd_catches_problems():
-    g = build([("MIN", 1, 2), ("MAX", 1, 2)])
-    with pytest.raises(InvalidGrid, match="zero strands"):
-        BinaryGridDiagram((g.rows[0],))
-    # stitch together rows with disagreeing column lists
-    r0 = make_row(Shape.MIN, 1, 2, None, ())
-    r1 = build([("MIN", 3, 4), ("MAX", 3, 4)]).rows[1]
-    with pytest.raises(InvalidGrid, match="disagree"):
-        BinaryGridDiagram((r0, r1))
+    # columns that the rows below leave closed or open
+    _raises([CAP12], "row 0: consumed column 1 absent below; "
+                     "row 0: consumed column 2 absent below")
+    _raises([CUP12, _row("MIN", 2, 3, (UP, UP)), CAP12, _row("MAX", 2, 3, (DOWN, DOWN))],
+            "row 1: created column 2 already open below; "
+            "row 3: consumed column 2 absent below")
+    _raises([CUP12], "diagram does not end with zero strands")
