@@ -43,7 +43,6 @@ from .layout import (
     check_fold_lines,
     core_diagram,
     emit_svg,
-    pile_steps,
     ribbon_length,
     schedule_json,
 )
@@ -94,7 +93,7 @@ __all__ = [
     "rib_upper_bound", "theoretical_bound", "comparison_bounds",
     "PipelineResult", "DomainError",
     # layout
-    "build_pile", "pile_steps", "ribbon_length", "emit_svg",
+    "build_pile", "ribbon_length", "emit_svg",
     "check_fold_lines", "core_diagram", "schedule_json",
     "PaperPlane", "CapArc", "FoldSchedule", "LayoutConfig",
     "NotNormalForm", "LayoutOverlap",

@@ -196,11 +196,11 @@ def _cmd_layout(ns) -> int:
         gn = normalize(g)
     schedule = build_pile(gn)
 
-    width = Fraction(ns.width) if ns.width is not None else Fraction(1)
+    width = ns.width if ns.width is not None else Fraction(1)
     if width <= 0:
         raise _Exit(1, "width must be positive")
     eps = (
-        Fraction(ns.epsilon) if ns.epsilon is not None
+        ns.epsilon if ns.epsilon is not None
         else default_epsilon(schedule, width)
     )
     if eps <= 0:
@@ -393,6 +393,15 @@ def _cmd_table(ns) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _fraction(text: str) -> Fraction:
+    """A Fraction flag value; a zero denominator is a usage error too."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="ribbonfold",
@@ -422,10 +431,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--schedule", help="also write the fold schedule JSON here")
     p.add_argument(
         "--epsilon",
-        type=Fraction,
+        type=_fraction,
         help="wing/cap allowance in width units (default: auto)",
     )
-    p.add_argument("--width", type=Fraction, help="ribbon width (default 1)")
+    p.add_argument("--width", type=_fraction, help="ribbon width (default 1)")
     p.set_defaults(func=_cmd_layout)
 
     p = sub.add_parser("verify", help="check knot-type preservation per stage")
@@ -452,6 +461,8 @@ def run_command(argv: Sequence[str]) -> int:
     try:
         ns = _build_parser().parse_args(list(argv))
         return ns.func(ns)
+    except SystemExit as e:  # argparse exits after printing --help
+        return e.code
     except _Exit as e:
         _say(f"error: {e}")
         return e.code

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Tuple
 from .laurent import LaurentPoly
 from .model import (
     BinaryGridDiagram,
-    Col,
     Crossing,
     EndKind,
     PlanarDiagram,
@@ -41,7 +40,7 @@ from .model import (
 
 D_POLY = LaurentPoly({2: -1, -2: -1})  # value of a disjoint unknotted loop
 
-DEFAULT_CAP = 20  # open edges in the sweep frontier
+DEFAULT_CAP = 20  # open edges in the sweep frontier, read at each call
 
 
 class TooLarge(RibbonfoldError):
@@ -117,12 +116,12 @@ def _dart_mates(d: PlanarDiagram) -> Dict[int, int]:
     return mate
 
 
-def _sweep_plan(n: int, mate: Dict[int, int], cap: int) -> List[Tuple[int, List[int]]]:
+def _sweep_plan(n: int, mate: Dict[int, int]) -> List[Tuple[int, List[int]]]:
     """Crossing order with the sorted frontier (open darts) after each step.
 
     Greedy: next comes the crossing that closes the most open edges, ties
     to the lowest index. Raises TooLarge before any state is built if a
-    frontier would hold more than ``cap`` open edges.
+    frontier would hold more than ``DEFAULT_CAP`` open edges.
     """
     done = [False] * n
     frontier: set = set()
@@ -140,15 +139,15 @@ def _sweep_plan(n: int, mate: Dict[int, int], cap: int) -> List[Tuple[int, List[
                     frontier.discard(m)
                 else:
                     frontier.add(dart)
-        if len(frontier) > cap:
+        if len(frontier) > DEFAULT_CAP:
             raise TooLarge(
-                f"sweep frontier of {len(frontier)} open edges exceeds cap {cap}"
+                f"sweep frontier of {len(frontier)} open edges exceeds cap {DEFAULT_CAP}"
             )
         plan.append((ci, sorted(frontier)))
     return plan
 
 
-def kauffman_bracket(d: PlanarDiagram, cap: int = DEFAULT_CAP) -> LaurentPoly:
+def kauffman_bracket(d: PlanarDiagram) -> LaurentPoly:
     """Frontier sweep over the crossings. Raises TooLarge above the cap.
 
     A state is a pairing of the open darts (the processed crossings' ends
@@ -163,7 +162,7 @@ def kauffman_bracket(d: PlanarDiagram, cap: int = DEFAULT_CAP) -> LaurentPoly:
     mate = _dart_mates(d)
     states: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {(): {(0, 0): 1}}
     old: List[int] = []
-    for ci, new in _sweep_plan(n, mate, cap):
+    for ci, new in _sweep_plan(n, mate):
         base = 4 * ci
         over = d.crossings[ci].over_slots()
         # (A-exponent change, arcs): A joins over slot o to o+3, B to o+1
@@ -210,12 +209,12 @@ def _normalize(bracket: LaurentPoly, w: int) -> LaurentPoly:
     return LaurentPoly.monomial(-1 if w % 2 else 1, -3 * w) * bracket
 
 
-def jones_normalized(d: PlanarDiagram, cap: int = DEFAULT_CAP) -> LaurentPoly:
+def jones_normalized(d: PlanarDiagram) -> LaurentPoly:
     """(-A^3)^(-writhe) * bracket under the deterministic orientation."""
-    return _normalize(kauffman_bracket(d, cap), writhe(d) if d.crossings else 0)
+    return _normalize(kauffman_bracket(d), writhe(d) if d.crossings else 0)
 
 
-def jones_fingerprint(d: PlanarDiagram, cap: int = DEFAULT_CAP) -> Tuple[str, ...]:
+def jones_fingerprint(d: PlanarDiagram) -> Tuple[str, ...]:
     """Sorted multiset of normalized values over all component orientations.
 
     Reorienting a component flips the sign of every crossing between it and
@@ -223,7 +222,7 @@ def jones_fingerprint(d: PlanarDiagram, cap: int = DEFAULT_CAP) -> Tuple[str, ..
     2^m orientation choices is therefore orientation-free, which makes it a
     sound equality oracle for multi-component links.
     """
-    bracket = kauffman_bracket(d, cap)
+    bracket = kauffman_bracket(d)
     if not d.crossings:
         return (str(bracket),)
     o = orient(d)
@@ -257,7 +256,7 @@ def bgd_to_pd(g: BinaryGridDiagram) -> PlanarDiagram:
     construction, so it is not checked again.
     """
     uf = UnionFind()
-    segment: Dict[Col, object] = {}  # open column -> its vertical segment
+    segment: Dict[int, object] = {}  # open column -> its vertical segment
     k = 0  # crossings so far
     for i, row in enumerate(g.rows):
         # a down end closes its column's segment, an up end starts a new one

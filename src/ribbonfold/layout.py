@@ -4,7 +4,11 @@ Every cup row becomes a paper plane: a ribbon folded three times, with a
 horizontal body of core length 2 (in width units) and two upward wings.
 Planes stack bottom to top, each wing dropping into an insertable space
 of the pile built so far. Cap rows become flat three-segment arcs that
-close wing pairs from the inside out. ``ribbon_length`` prices the
+close wing pairs from the inside out. The grid check that every
+``BinaryGridDiagram`` passes already proves, on the cup rows, that each
+plane brackets only the wing it crosses and that k planes hold 2k
+wings, so ``build_pile`` reads the schedule off the grid in one pass,
+with the wings in column order. ``ribbon_length`` prices the
 schedule, ``emit_svg`` draws an exploded schematic, and the fold lines
 it draws are checked for pairwise disjointness in exact arithmetic.
 The check tests only creases that share a 2 x 2 cell of the plane, a
@@ -31,12 +35,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .invariants import bgd_to_pd
 from .model import (
     BinaryGridDiagram,
-    Col,
     PlanarDiagram,
     RibbonfoldError,
     Shape,
@@ -53,7 +56,6 @@ __all__ = [
     "LayoutConfig",
     "build_pile",
     "default_epsilon",
-    "pile_steps",
     "ribbon_length",
     "check_fold_lines",
     "emit_svg",
@@ -93,8 +95,8 @@ class PaperPlane:
     """
 
     plane_index: int
-    insertion: Tuple[Col, Col]
-    crossed_wing: Optional[Col] = None
+    insertion: Tuple[int, int]
+    crossed_wing: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ class CapArc:
     """Upper-part arc joining two wing slots, flat and of O(epsilon) length."""
 
     cap_index: int
-    join: Tuple[Col, Col]
+    join: Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ class FoldSchedule:
 
     planes: Tuple[PaperPlane, ...]
     caps: Tuple[CapArc, ...]
-    connection_order: Tuple[Col, ...]
+    connection_order: Tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -123,42 +125,15 @@ class FoldSchedule:
 # ---------------------------------------------------------------------------
 
 
-def pile_steps(planes: Sequence[PaperPlane]) -> Iterator[Tuple[Col, ...]]:
-    """Yield the wing order after each insertion, checking the invariant.
-
-    After k insertions the pile must hold exactly 2k wings, and a new
-    plane may bracket either nothing (both wings drop into one insertable
-    space) or exactly the wing it crosses (one wing lands on each side).
-    Slots are the normal form's integer columns, numbered in the final
-    left-to-right wing order, so a wing that a later plane drops between
-    two earlier ones already has its slot between theirs.
-    """
-    wings: Tuple[Col, ...] = ()
-    for k, p in enumerate(planes, start=1):
-        lo, hi = p.insertion
-        if not lo < hi:
-            raise ValueError(f"plane {p.plane_index}: bad wing pair {p.insertion}")
-        if lo in wings or hi in wings:
-            raise ValueError(f"plane {p.plane_index}: wing slot already occupied")
-        inside = [w for w in wings if lo < w < hi]
-        want = [] if p.crossed_wing is None else [p.crossed_wing]
-        if inside != want:
-            raise ValueError(
-                f"plane {p.plane_index}: brackets {inside}, expected {want}"
-            )
-        wings = tuple(sorted(wings + (lo, hi)))
-        if len(wings) != 2 * k:
-            raise ValueError(f"{len(wings)} wings after {k} insertions")
-        yield wings
-
-
 def build_pile(g: BinaryGridDiagram) -> FoldSchedule:
     """Turn a normal-form grid into a pile of paper planes plus cap arcs.
 
     One plane per cup row in stacking order, one cap per cap row from the
-    inside out. The pile invariant (2k wings with insertable spaces after
-    k insertions) is re-checked at every step. ``g`` is valid by
-    construction, so only its normal form is checked here.
+    inside out. The wing slots are the cup rows' columns, joined left to
+    right. ``g`` is valid by construction, so only its normal form is
+    checked here: on the cup rows, the grid check already proved the
+    pile invariant (each plane brackets the wing it crosses or none, no
+    slot is used twice, and k planes hold 2k wings).
     """
     if not is_normal_form(g):
         bad = sorted({r.block_type.name for r in g.rows if _convertible(r)})
@@ -174,10 +149,8 @@ def build_pile(g: BinaryGridDiagram) -> FoldSchedule:
             )
         else:
             caps.append(CapArc(len(caps), row.extent))
-    wings: Tuple[Col, ...] = ()
-    for wings in pile_steps(planes):
-        pass
-    return FoldSchedule(tuple(planes), tuple(caps), wings)
+    wings = sorted(slot for p in planes for slot in p.insertion)
+    return FoldSchedule(tuple(planes), tuple(caps), tuple(wings))
 
 
 def ribbon_length(s: FoldSchedule, epsilon: Num) -> Fraction:
@@ -212,12 +185,12 @@ class LayoutConfig:
 @dataclass(frozen=True)
 class _Geometry:
     unit: int                          # D: the fields below count 1/D
-    x: Dict[Col, int]                  # wing slot -> center x
+    x: Dict[int, int]                  # wing slot -> center x
     plane_y: Tuple[int, ...]           # body centerline per plane
     cap_y: Tuple[int, ...]             # bridge centerline per cap
     tail: Tuple[int, ...]              # fold-back overshoot per plane
-    top_of: Dict[Col, int]             # wing slot -> bridge y
-    crossings: Dict[Col, Tuple[int, ...]]  # wing slot -> body ys over it
+    top_of: Dict[int, int]             # wing slot -> bridge y
+    crossings: Dict[int, Tuple[int, ...]]  # wing slot -> body ys over it
 
 
 def _positive(name: str, value: Num) -> Fraction:
@@ -270,7 +243,7 @@ def _geometry(s: FoldSchedule, cfg: LayoutConfig) -> _Geometry:
 
     top_of = {slot: cap_y[m] for m, c in enumerate(s.caps) for slot in c.join}
 
-    crossings: Dict[Col, List[int]] = {}
+    crossings: Dict[int, List[int]] = {}
     for k, p in enumerate(s.planes):
         if p.crossed_wing is not None:
             crossings.setdefault(p.crossed_wing, []).append(plane_y[k])

@@ -16,8 +16,8 @@ Conventions used throughout:
 * Only the left-to-right order of the strands matters. ``expand`` and
   the rewrite both build grids as events on strand identities (see
   ``Event``), and ``grid_from_events`` alone numbers the strands 1, 2,
-  ... by that order. ``Col`` still admits exact rationals for grids
-  written by hand.
+  ... by that order. Columns are ints, so every grid has a ``.bgd``
+  text form (``expand.bgd_to_text``) that parses back to it.
 * A ``BinaryGridDiagram`` is checked once, when it is made (``check_bgd``,
   else ``InvalidGrid``), so no stage checks a grid it is handed again.
 
@@ -32,9 +32,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
-
-Col = Union[int, Fraction]
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 
 class RibbonfoldError(Exception):
@@ -349,9 +347,9 @@ class Row:
     """
 
     shape: Shape
-    extent: Tuple[Col, Col]
+    extent: Tuple[int, int]
     end_kinds: Tuple[EndKind, EndKind]
-    crossed_column: Optional[Col]
+    crossed_column: Optional[int]
 
     @property
     def block_type(self) -> BlockType:
@@ -366,7 +364,7 @@ END_KINDS: Dict[Shape, Tuple[Tuple[EndKind, EndKind], ...]] = {
 }
 
 
-def make_row(shape: Shape, a: Col, b: Col, crossed: Optional[Col]) -> Row:
+def make_row(shape: Shape, a: int, b: int, crossed: Optional[int]) -> Row:
     """The row of ``shape`` between columns a and b.
 
     A TRANS row continues column a as column b; a cup (MIN) or cap (MAX)
@@ -406,6 +404,7 @@ class BinaryGridDiagram:
 def check_bgd(g: BinaryGridDiagram) -> List[str]:
     """Structural problems with a grid diagram (empty list if none).
 
+    Every column must be an int, the only kind ``.bgd`` text can hold.
     Replays the open columns bottom to top, starting with none: each
     row's down ends must close open columns, its up ends must open new
     ones, the strands left strictly inside its extent must be exactly
@@ -413,9 +412,12 @@ def check_bgd(g: BinaryGridDiagram) -> List[str]:
     top. ``BinaryGridDiagram`` runs it on every grid made.
     """
     problems: List[str] = []
-    open_cols: List[Col] = []  # sorted
+    open_cols: List[int] = []  # sorted
     for i, r in enumerate(g.rows):
         a, b = r.extent
+        for c in (a, b, r.crossed_column):
+            if c is not None and not isinstance(c, int):
+                problems.append(f"row {i}: column {c} is not an integer")
         if not a < b:
             problems.append(f"row {i}: extent {r.extent} not strictly increasing")
         if r.end_kinds not in END_KINDS[r.shape]:
@@ -523,7 +525,7 @@ def _columns(events: List[Event]) -> Dict[int, int]:
     return col
 
 
-def stack_rows(specs: Iterable[Tuple[Shape, Col, Col, Optional[Col]]]) -> BinaryGridDiagram:
+def stack_rows(specs: Iterable[Tuple[Shape, int, int, Optional[int]]]) -> BinaryGridDiagram:
     """The grid whose rows, bottom to top, are ``make_row`` of the specs
     (shape, a, b, crossed)."""
     return BinaryGridDiagram(tuple(make_row(*spec) for spec in specs))

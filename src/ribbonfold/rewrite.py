@@ -20,7 +20,6 @@ from typing import Container, Dict, List, Optional, Tuple
 
 from .model import (
     BinaryGridDiagram,
-    Col,
     EndKind,
     Event,
     RibbonfoldError,
@@ -79,8 +78,8 @@ def _events(g: BinaryGridDiagram, convert: Container[int] = ()) -> List[Event]:
     cup's near leg; the far leg goes on. A converted crossed cap is a cup
     over the same strand plus a plain cap on each side of it.
     """
-    strand: Dict[Col, int] = {}  # open column -> its strand
-    cols: List[Col] = []  # the open columns, sorted
+    strand: Dict[int, int] = {}  # open column -> its strand
+    cols: List[int] = []  # the open columns, sorted
     n = 0  # the next strand id
     out: List[Event] = []
     for i, r in enumerate(g.rows):

@@ -4,12 +4,14 @@ A sideways row becomes a cup through a fresh column squeezed next to the
 old strand, plus a cap that swallows the old strand; a crossed cap
 becomes a cup over the same vertical through two fresh columns plus two
 plain caps. The strand emerging above keeps its column, so rows above
-the converted one are untouched, and the columns of a grid only grow.
+the converted one are untouched. The rows are then renumbered by
+column rank (``compress_columns``), since a grid holds int columns and
+only their order matters.
 """
 
 from fractions import Fraction
 
-from ribbonfold.model import BinaryGridDiagram, EndKind, Shape, check_bgd, make_row
+from ribbonfold.model import BinaryGridDiagram, EndKind, Row, Shape, make_row
 from ribbonfold.rewrite import _convertible
 
 
@@ -21,19 +23,31 @@ def _fresh(lo, hi, used):
     return x
 
 
-def column_values(g):
-    """Every column that the rows of ``g`` mention: each is opened by a row end."""
-    return {c for r in g.rows for c in r.extent}
+def column_values(rows):
+    """Every column that ``rows`` mention: each is opened by a row end."""
+    return {c for r in rows for c in r.extent}
 
 
-def reference_convert(g, i, used):
+def compress_columns(rows):
+    """The grid of ``rows`` with their columns renumbered 1..m by rank."""
+    rank = {v: i + 1 for i, v in enumerate(sorted(column_values(rows)))}.__getitem__
+
+    def renumber(r):
+        x = None if r.crossed_column is None else rank(r.crossed_column)
+        return Row(r.shape, tuple(map(rank, r.extent)), r.end_kinds, x)
+
+    return BinaryGridDiagram(tuple(renumber(r) for r in rows))
+
+
+def reference_convert(g, i):
     """``g`` with row i (a TRANS or crossed MAX) replaced by cups and plain caps.
 
-    ``used`` is ``column_values(g)``; the fresh columns avoid it.
+    The fresh columns avoid every column of ``g``.
     """
     r = g.rows[i]
     assert _convertible(r), r.block_type.name
     rows = list(g.rows)
+    used = column_values(rows)
     if r.shape is Shape.TRANS:
         lo, hi = r.extent
         src, dst = (lo, hi) if r.end_kinds[0] is EndKind.DOWN else (hi, lo)
@@ -56,18 +70,15 @@ def reference_convert(g, i, used):
         cap1 = make_row(Shape.MAX, a, p, None)
         cap2 = make_row(Shape.MAX, q, b, None)
         rows[i:i + 1] = [cup, cap1, cap2]
-    return BinaryGridDiagram(tuple(rows))
+    return compress_columns(rows)
 
 
 def reference_convert_all(g):
     """``g`` with every sideways and crossed-cap row converted, bottom to top."""
-    used = column_values(g)
     i = 0
     while i < len(g.rows):
         if _convertible(g.rows[i]):
-            g = reference_convert(g, i, used)
-            used.update(g.rows[i].extent)  # the cup holds the fresh columns
+            g = reference_convert(g, i)
         else:
             i += 1
-    assert check_bgd(g) == []
     return g

@@ -9,9 +9,9 @@ numbers may differ.
 
 from fractions import Fraction
 
-from ribbonfold.model import BinaryGridDiagram, Row, Shape, make_row
+from ribbonfold.model import Shape, make_row
 
-from convert_reference import column_values
+from convert_reference import compress_columns
 
 
 def _mid(lo, hi):
@@ -101,15 +101,5 @@ def reference_build_bgd(leveled):
                     b.row(Shape.TRANS, c1, b.right_gap(p + 2), c2)
                     b.row(Shape.MAX, c0, c2, None)
     assert not b.active
-    return compress_columns(BinaryGridDiagram(tuple(b.rows)))
+    return compress_columns(b.rows)
 
-
-def compress_columns(g):
-    """Renumber columns to 1..m preserving their order."""
-    rank = {v: i + 1 for i, v in enumerate(sorted(column_values(g)))}.__getitem__
-
-    def renumber(r):
-        x = None if r.crossed_column is None else rank(r.crossed_column)
-        return Row(r.shape, tuple(map(rank, r.extent)), r.end_kinds, x)
-
-    return BinaryGridDiagram(tuple(renumber(r) for r in g.rows))

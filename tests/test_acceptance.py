@@ -26,7 +26,6 @@ from ribbonfold.layout import (
     check_fold_lines,
     core_diagram,
     emit_svg,
-    pile_steps,
     ribbon_length,
 )
 from ribbonfold.leveling import (
@@ -237,18 +236,21 @@ def test_leveling_bisection_and_portion_balance(corpus):
 
 
 def test_pile_invariant_length_convergence_and_fold_lines(corpus):
-    # growing the pile keeps wings paired and ordered at every step,
-    # the priced length approaches the certified bound as the
-    # allowance shrinks, and the rendered fold lines stay disjoint
+    # each plane dropped on the pile brackets only the wing it crosses,
+    # k planes hold 2k wings, the priced length approaches the certified
+    # bound as the allowance shrinks, and the rendered fold lines stay
+    # disjoint
     for entry in corpus:
         gn = run_pipeline(entry.diagram).normal
         s = build_pile(gn)
-        last = ()
-        for k, wings in enumerate(pile_steps(s.planes), start=1):
-            assert len(wings) == 2 * k, entry.name
-            assert list(wings) == sorted(wings), entry.name
-            last = wings
-        assert last == s.connection_order, entry.name
+        wings = []
+        for p in s.planes:
+            lo, hi = p.insertion
+            inside = [w for w in wings if lo < w < hi]
+            assert inside == ([] if p.crossed_wing is None else [p.crossed_wing]), entry.name
+            wings += [lo, hi]
+        assert len(set(wings)) == 2 * len(s.planes), entry.name
+        assert tuple(sorted(wings)) == s.connection_order, entry.name
         certified = rib_upper_bound(block_counts(gn))
         eps = Fraction(1, 10 ** 6)
         assert abs(ribbon_length(s, eps) - certified) < Fraction(1, 1000)

@@ -256,6 +256,34 @@ def test_layout_rejects_nonpositive_epsilon(trefoil_pd, tmp_path):
     ) == 1
 
 
+@pytest.mark.parametrize("flag", ["--epsilon", "--width"])
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "1/0"])
+def test_layout_rejects_unreadable_fractions(flag, value, trefoil_pd, tmp_path, capsys):
+    # a zero denominator is a usage error like any other unreadable value
+    svg = tmp_path / "out.svg"
+    assert run_command(["layout", str(trefoil_pd), "-o", str(svg), flag, value]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ribbonfold layout: argument {flag}: invalid Fraction value: {value!r}\n")
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bound", "--help"]])
+def test_help_returns_zero(argv, capsys):
+    assert run_command(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ribbonfold")
+
+
+def test_parser_is_built_once(trefoil_pd, capsys):
+    from ribbonfold import cli
+
+    cli._build_parser.cache_clear()
+    for _ in range(3):
+        assert run_command(["bound", str(trefoil_pd)]) == 0
+    assert run_command(["bogus"]) == 1
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_verify_reports_all_stages(trefoil_pd, capsys):
     assert run_command(["verify", str(trefoil_pd), "--per-step"]) == 0
     report = _json_out(capsys)

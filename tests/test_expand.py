@@ -1,5 +1,7 @@
 """Leveling-to-grid expansion and the grid text format."""
 
+import random
+
 import pytest
 
 from ribbonfold.expand import (
@@ -20,6 +22,7 @@ from expand_reference import reference_build_bgd
 from grids import build
 from ladder import ladder
 from randbraids import random_closures
+from randgrids import make_random_grid
 
 TREFOIL_TXT = "X(4,2,5,1) X(2,6,3,5) X(6,4,1,3)"
 HOPF_TXT = "X(4,1,3,2) X(2,3,1,4)"
@@ -118,6 +121,19 @@ def test_text_roundtrip():
     for txt in (HOPF_TXT, TREFOIL_TXT, FIG8_TXT):
         g = _grid(txt)
         assert parse_bgd(bgd_to_text(g)) == g
+
+
+def test_every_grid_round_trips_through_text():
+    # grids hold int columns only, so the text form of any grid the
+    # pipeline makes, expanded or normal, parses back to the same grid
+    diagrams = [e.diagram for e in bundled_table()]
+    diagrams += [ladder(c) for c in range(4, 41, 2)]
+    grids = [build_bgd(optimize_flips(find_leveling(d))[0]) for d in diagrams]
+    grids += [make_random_grid(random.Random(seed), max_crossings=30, body_ops=40)
+              for seed in range(200)]
+    for g in grids:
+        for h in (g, normalize(g)):
+            assert parse_bgd(bgd_to_text(h)) == h
 
 
 def test_text_comments_and_blanks():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ribbonfold import invariants
 from ribbonfold.expand import build_bgd
 from ribbonfold.invariants import (
     D_POLY,
@@ -107,9 +108,11 @@ def test_bracket_multiplicative_over_split_loop():
     assert kauffman_bracket(plus_loop) == D_POLY * kauffman_bracket(TREFOIL)
 
 
-def test_too_large_cap():
-    with pytest.raises(TooLarge):
-        kauffman_bracket(TREFOIL, cap=2)
+def test_too_large_cap(monkeypatch):
+    monkeypatch.setattr(invariants, "DEFAULT_CAP", 2)
+    with pytest.raises(TooLarge) as e:
+        kauffman_bracket(TREFOIL)
+    assert str(e.value) == "sweep frontier of 4 open edges exceeds cap 2"
 
 
 def _sweep_disagreements(diagrams):

@@ -25,10 +25,10 @@ from ribbonfold.layout import (
     core_diagram,
     default_epsilon,
     emit_svg,
-    pile_steps,
     ribbon_length,
     schedule_json,
 )
+from ribbonfold.model import InvalidGrid
 
 from foldlines_reference import reference_first_meeting_pair, reference_fold_segments
 from grids import NESTED, build
@@ -87,27 +87,17 @@ def test_build_pile_names_the_blocks_to_convert():
         "grid is not in normal form (cup rows above cap rows); rewrite first")
 
 
-def test_pile_steps_invariant():
-    for entry in list(bundled_table())[:8]:
-        s = build_pile(run_pipeline(entry.diagram).normal)
-        for k, wings in enumerate(pile_steps(s.planes), start=1):
-            assert len(wings) == 2 * k
-            assert list(wings) == sorted(wings)
-        assert wings == s.connection_order
-
-
-def test_pile_steps_rejects_bad_bracketing():
-    planes = (
-        PaperPlane(0, (0, 10)),
-        PaperPlane(1, (2, 12)),  # straddles wing 10 but claims no crossing
-    )
-    with pytest.raises(ValueError):
-        list(pile_steps(planes))
-    crossing = (
-        PaperPlane(0, (0, 10)),
-        PaperPlane(1, (2, 12), crossed_wing=10),
-    )
-    assert len(list(pile_steps(crossing))) == 2
+def test_bad_bracketing_is_an_invalid_grid():
+    # a plane straddling an earlier wing must cross it: the grid check
+    # on the cup rows is the pile invariant, so no such pile is built
+    rows = [("MIN", 0, 10), ("MIN", 2, 12), ("MAX", 0, 2), ("MAX", 10, 12)]
+    with pytest.raises(InvalidGrid) as e:
+        build(rows)
+    assert str(e.value) == "row 1: uncrossed row has strands [10] inside extent"
+    rows[1] = ("MIN", 2, 12, 10)
+    s = build_pile(build(rows))
+    assert s.connection_order == (0, 2, 10, 12)
+    assert s.planes[1] == PaperPlane(1, (2, 12), crossed_wing=10)
 
 
 def test_ribbon_length_values():

@@ -120,10 +120,16 @@ def test_grid_builder_and_checks():
     }
 
 
-def test_fractional_columns_allowed():
+def test_fractional_columns_rejected():
+    # .bgd text holds only int columns, so a grid holds only ints too
     h = Fraction(3, 2)
-    g = build([("MIN", 1, 2), ("TRANS", 1, h), ("MAX", h, 2)])
-    assert check_bgd(g) == []
+    with pytest.raises(InvalidGrid) as e:
+        build([("MIN", 1, 2), ("TRANS", 1, h), ("MAX", h, 2)])
+    assert str(e.value) == ("row 1: column 3/2 is not an integer; "
+                            "row 2: column 3/2 is not an integer")
+    with pytest.raises(InvalidGrid) as e:
+        build([("MIN", 1, 3), ("MIN", 0, 4, h), ("MAX", 1, 3), ("MAX", 0, 4)])
+    assert str(e.value).startswith("row 1: column 3/2 is not an integer; ")
 
 
 UP, DOWN = EndKind.UP, EndKind.DOWN

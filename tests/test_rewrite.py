@@ -21,7 +21,7 @@ from ribbonfold.rewrite import (
     switch_adjacent,
 )
 
-from convert_reference import column_values, reference_convert, reference_convert_all
+from convert_reference import reference_convert, reference_convert_all
 from grids import build
 from ladder import ladder
 from randbraids import random_closures
@@ -255,16 +255,15 @@ def test_converts_match_the_rational_reference():
     # fresh rational columns, up to the numbering of the columns, and
     # normalize gives what it gives on the reference's fully converted
     # grid; a converted grid already in normal form comes back as it is,
-    # on its rational columns, so there only the events can agree
+    # on its ranked columns, so there only the events can agree
     for name, g in _convert_cases():
         ng, ref = normalize(g), reference_convert_all(g)
         assert _events(ng) == _events(normalize(ref)), name
         assert is_normal_form(ref) or ng == normalize(ref), name
-        used = column_values(g)
         for i, r in enumerate(g.rows):
             if _convertible(r):
                 assert _events(convert_block(g, i)) == _events(
-                    reference_convert(g, i, used)), (name, i)
+                    reference_convert(g, i)), (name, i)
 
 
 def test_random_generator_is_deterministic():
