@@ -32,13 +32,12 @@ from .ingest import (
 )
 from .invariants import bgd_to_pd, jones_fingerprint
 from .leveling import (
-    FlipChoice,
     NoLevelingFound,
     PreconditionViolated,
-    apply_flip,
+    best_flip,
     check_leveling,
     find_leveling,
-    optimize_flips,
+    flip_variants,
 )
 from .layout import (
     LayoutConfig,
@@ -298,14 +297,13 @@ def _cmd_verify(ns) -> int:
             not check_leveling(ld) and fingerprint(ld.diagram) == fp0,
             f"order {list(ld.order)}",
         )
+        variants = flip_variants(ld)
         flips_ok = True
-        for fx in (False, True):
-            for fy in (False, True):
-                fl = apply_flip(ld, FlipChoice(fx, fy))
-                if check_leveling(fl) or fingerprint(fl.diagram) != fp0:
-                    flips_ok = False
+        for _choice, fl in variants:
+            if check_leveling(fl) or fingerprint(fl.diagram) != fp0:
+                flips_ok = False
         _stage(stages, "flips", flips_ok, "4 variants")
-        best, choice = optimize_flips(ld)
+        best, choice = best_flip(variants)
         g = build_bgd(best)
         _stage(
             stages,

@@ -7,6 +7,11 @@ bracket (the Jones polynomial in the variable A). Every pipeline stage is
 checked against these values, so nothing here may depend on the pipeline
 modules.
 
+Each sweep state keeps weights {(A-exponent, seen a loop): count}. A
+state's first closed loop sets the flag, each later one multiplies its
+weights by d = -A^2 - A^-2 as it closes, and the free loops multiply by
+their power of d once, at the end.
+
 Conventions (all verified against hand-computed state sums):
 
 * Slot k of a crossing sits at angle 270 + 90k degrees (slot 0 points
@@ -23,6 +28,7 @@ Conventions (all verified against hand-computed state sums):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -34,7 +40,6 @@ from .model import (
     PlanarDiagram,
     RibbonfoldError,
     RoutingError,
-    UnionFind,
     validate_diagram,
 )
 
@@ -120,17 +125,25 @@ def _sweep_plan(n: int, mate: Dict[int, int]) -> List[Tuple[int, List[int]]]:
     """Crossing order with the sorted frontier (open darts) after each step.
 
     Greedy: next comes the crossing that closes the most open edges, ties
-    to the lowest index. Raises TooLarge before any state is built if a
-    frontier would hold more than ``DEFAULT_CAP`` open edges.
+    to the lowest index. Only crossings that an open edge leads to can
+    close any, so ``touching`` counts the closing darts of just those, and
+    the rest are taken lowest index first. Raises TooLarge before any
+    state is built if a frontier would hold more than ``DEFAULT_CAP`` open
+    edges.
     """
     done = [False] * n
+    touching: Dict[int, int] = {}  # undone crossing -> open darts leading to it
+    lowest = 0  # no crossing below this one is undone
     frontier: set = set()
     plan = []
     for _ in range(n):
-        ci = max(
-            (c for c in range(n) if not done[c]),
-            key=lambda c: (sum(done[mate[4 * c + s] >> 2] for s in range(4)), -c),
-        )
+        if touching:
+            ci = max(touching, key=lambda c: (touching[c], -c))
+            del touching[ci]
+        else:
+            while done[lowest]:
+                lowest += 1
+            ci = lowest
         done[ci] = True
         for dart in range(4 * ci, 4 * ci + 4):
             m = mate[dart]
@@ -139,6 +152,7 @@ def _sweep_plan(n: int, mate: Dict[int, int]) -> List[Tuple[int, List[int]]]:
                     frontier.discard(m)
                 else:
                     frontier.add(dart)
+                    touching[m >> 2] = touching.get(m >> 2, 0) + 1
         if len(frontier) > DEFAULT_CAP:
             raise TooLarge(
                 f"sweep frontier of {len(frontier)} open edges exceeds cap {DEFAULT_CAP}"
@@ -147,19 +161,30 @@ def _sweep_plan(n: int, mate: Dict[int, int]) -> List[Tuple[int, List[int]]]:
     return plan
 
 
+def _d_power(k: int) -> List[Tuple[int, int]]:
+    """d^k = (-1)^k sum_j C(k, j) A^(2k - 4j), as (exponent, coefficient) pairs."""
+    sign = -1 if k % 2 else 1
+    return [(2 * k - 4 * j, sign * math.comb(k, j)) for j in range(k + 1)]
+
+
 def kauffman_bracket(d: PlanarDiagram) -> LaurentPoly:
     """Frontier sweep over the crossings. Raises TooLarge above the cap.
 
     A state is a pairing of the open darts (the processed crossings' ends
     whose edges lead to unprocessed ones), mapped to its weights
-    {(A-exponent, closed loops): count}. Each crossing is smoothed both
-    ways, its darts are glued to the pairing, loops that close are
-    counted, and states with equal pairings merge.
+    {(A-exponent, seen a loop): count}. Each crossing is smoothed both
+    ways, its darts are glued to the pairing, and states with equal
+    pairings merge. The first loop a state closes only sets its seen
+    flag; every later one multiplies its weights by d at once, so a
+    pairing holds O(c) keys. The free loops contribute d^free_loops at
+    the end, one fewer for a state that closed no loop (no crossings).
     """
     n = len(d.crossings)
     if n == 0 and d.free_loops == 0:
         raise ValueError("empty diagram has no bracket")
     mate = _dart_mates(d)
+    # a crossing's two arcs close at most two loops, so d^0..d^2 suffice
+    powers = [_d_power(k) for k in range(3)]
     states: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {(): {(0, 0): 1}}
     old: List[int] = []
     for ci, new in _sweep_plan(n, mate):
@@ -191,22 +216,28 @@ def kauffman_bracket(d: PlanarDiagram) -> LaurentPoly:
                         px, py = p.pop(x), p.pop(y)
                         p[px], p[py] = py, px
                 out = nxt.setdefault(tuple(p[f] for f in new), {})
-                for (a, loops), count in weights.items():
-                    k = (a + da, loops + closed)
-                    out[k] = out.get(k, 0) + count
+                if not closed:
+                    for (a, seen), count in weights.items():
+                        k = (a + da, seen)
+                        out[k] = out.get(k, 0) + count
+                    continue
+                for (a, seen), count in weights.items():
+                    for shift, coeff in powers[closed - 1 + seen]:
+                        k = (a + da + shift, 1)
+                        out[k] = out.get(k, 0) + coeff * count
         states, old = nxt, new
 
-    by_loops: Dict[int, Dict[int, int]] = {}
-    for (a, loops), count in states[()].items():
-        by_loops.setdefault(loops + d.free_loops - 1, {})[a] = count
-    total = LaurentPoly.zero()
-    for k, coeffs in by_loops.items():
-        total = total + LaurentPoly(coeffs) * D_POLY ** k
-    return total
+    total: Dict[int, int] = {}
+    for (a, seen), count in states[()].items():
+        for shift, coeff in _d_power(d.free_loops - 1 + seen):
+            total[a + shift] = total.get(a + shift, 0) + coeff * count
+    return LaurentPoly(total)
 
 
 def _normalize(bracket: LaurentPoly, w: int) -> LaurentPoly:
-    return LaurentPoly.monomial(-1 if w % 2 else 1, -3 * w) * bracket
+    """(-A^3)^(-w) * bracket: exponents shift by -3w, signs flip for odd w."""
+    sign = -1 if w % 2 else 1
+    return LaurentPoly({e - 3 * w: sign * c for e, c in bracket.coeffs().items()})
 
 
 def jones_normalized(d: PlanarDiagram) -> LaurentPoly:
@@ -250,59 +281,66 @@ def bgd_to_pd(g: BinaryGridDiagram) -> PlanarDiagram:
 
     One crossing per crossed row, slots in counterclockwise order
     (below-vertical, right-horizontal, above-vertical, left-horizontal),
-    which puts the horizontal over-strand on the 1-3 diagonal. Each open
-    column holds one union-find node for its current vertical segment,
-    so a strand that passes a row costs nothing. ``g`` is valid by
-    construction, so it is not checked again.
+    which puts the horizontal over-strand on the 1-3 diagonal. The
+    union-find runs over int nodes: slot s of crossing k is node 4k + s,
+    and each open column holds one later node for its current vertical
+    segment, so a strand that passes a row costs nothing. ``g`` is valid
+    by construction, so it is not checked again.
     """
-    uf = UnionFind()
-    segment: Dict[int, object] = {}  # open column -> its vertical segment
-    k = 0  # crossings so far
-    for i, row in enumerate(g.rows):
-        # a down end closes its column's segment, an up end starts a new one
-        left, right = (
-            segment.pop(c) if kind is EndKind.DOWN
-            else segment.setdefault(c, ("p", i, c))
-            for c, kind in zip(row.extent, row.end_kinds)
-        )
+    parent = list(range(4 * g.crossing_number))  # crossing slots come first
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    def union(a: int, b: int) -> None:
+        parent[find(a)] = find(b)
+
+    segment: Dict[int, int] = {}  # open column -> its vertical segment
+    x0 = 0  # slot 0 of the next crossing
+    for row in g.rows:
+        ends = []
+        for c, kind in zip(row.extent, row.end_kinds):
+            # a down end closes its column's segment, an up end starts a new one
+            if kind is EndKind.DOWN:
+                ends.append(segment.pop(c))
+                continue
+            node = segment.setdefault(c, len(parent))
+            if node == len(parent):
+                parent.append(node)
+            ends.append(node)
+        left, right = ends
         x = row.crossed_column
         if x is None:
-            uf.union(left, right)
+            union(left, right)
             continue
-        uf.union(("x", k, 0), segment[x])
-        segment[x] = ("x", k, 2)
-        uf.union(("x", k, 3), left)
-        uf.union(("x", k, 1), right)
-        k += 1
+        union(x0, segment[x])
+        segment[x] = x0 + 2
+        union(x0 + 3, left)
+        union(x0 + 1, right)
+        x0 += 4
 
-    # group terminals by class
-    classes: Dict[object, List[Tuple[int, int]]] = {}
-    for j in range(k):
-        for s in range(4):
-            classes.setdefault(uf.find(("x", j, s)), []).append((j, s))
-    free_loops = 0
-    seen_roots = set(classes)
-    for key in list(uf.parent):
-        r = uf.find(key)
-        if r not in seen_roots:
-            seen_roots.add(r)
-            free_loops += 1
+    # group crossing slots by class; slot s of crossing j is node 4j + s,
+    # so a class's first node is its least (crossing, slot)
+    classes: Dict[int, List[int]] = {}
+    for node in range(x0):
+        classes.setdefault(find(node), []).append(node)
+    free_loops = len({find(a) for a in range(x0, len(parent))} - classes.keys())
 
-    edge_of: Dict[object, int] = {}
-    for eid, root in enumerate(
-        sorted(classes, key=lambda r: min(classes[r])), start=1
-    ):
+    edge_of: Dict[int, int] = {}
+    for eid, root in enumerate(sorted(classes, key=lambda r: classes[r][0]), start=1):
         if len(classes[root]) != 2:
             raise RoutingError(
                 f"arc with {len(classes[root])} crossing ends (need 2)"
             )
         edge_of[root] = eid
 
-    crossings = []
-    for j in range(k):
-        slots = tuple(edge_of[uf.find(("x", j, s))] for s in range(4))
-        crossings.append(Crossing(id=j, slots=slots, over_pair=1))
-    out = PlanarDiagram(tuple(crossings), free_loops)
+    crossings = tuple(
+        Crossing(id=j, slots=tuple(edge_of[find(4 * j + s)] for s in range(4)), over_pair=1)
+        for j in range(x0 // 4)
+    )
+    out = PlanarDiagram(crossings, free_loops)
     issues = validate_diagram(out)
     if issues:
         raise RoutingError(

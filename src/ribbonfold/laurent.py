@@ -10,7 +10,8 @@ order, unit coefficients are suppressed, e.g. ``-A^-5 + 2*A^-1 + A^3``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from collections.abc import Iterable, Mapping
+from typing import Dict, Tuple
 
 
 class LaurentPoly:

@@ -231,6 +231,20 @@ def apply_flip(ld: LeveledDiagram, choice: FlipChoice) -> LeveledDiagram:
     return flipped
 
 
+def flip_variants(ld: LeveledDiagram) -> List[Tuple[FlipChoice, LeveledDiagram]]:
+    """The four flips of ``ld``: (F, F), (F, T), (T, F), (T, T)."""
+    choices = [FlipChoice(fx, fy) for fx in (False, True) for fy in (False, True)]
+    return [(choice, apply_flip(ld, choice)) for choice in choices]
+
+
+def best_flip(
+    variants: Sequence[Tuple[FlipChoice, LeveledDiagram]]
+) -> Tuple[LeveledDiagram, FlipChoice]:
+    """The first of ``variants`` with the fewest T1- portions."""
+    choice, cand = min(variants, key=lambda v: _t1_minus(v[1].portions))
+    return cand, choice
+
+
 def optimize_flips(ld: LeveledDiagram) -> Tuple[LeveledDiagram, FlipChoice]:
     """Pick the flip minimizing the T1- count.
 
@@ -238,14 +252,7 @@ def optimize_flips(ld: LeveledDiagram) -> Tuple[LeveledDiagram, FlipChoice]:
     permutations, so their T1- counts sum to at most c - 2 and the best
     one is at most floor((c - 2) / 4).
     """
-    best = None
-    for fx, fy in ((False, False), (False, True), (True, False), (True, True)):
-        choice = FlipChoice(fx, fy)
-        cand = apply_flip(ld, choice)
-        t1m = _t1_minus(cand.portions)
-        if best is None or t1m < best[0]:
-            best = (t1m, cand, choice)
-    return best[1], best[2]
+    return best_flip(flip_variants(ld))
 
 
 def check_leveling(ld: LeveledDiagram) -> List[str]:

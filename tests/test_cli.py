@@ -331,6 +331,34 @@ def test_verify_ladder_above_fourteen_crossings(tmp_path, capsys):
     assert report["ok"] is True
 
 
+def test_verify_ladder_at_160_crossings(tmp_path, capsys):
+    from ribbonfold.ingest import emit_pd
+    from ladder import ladder
+
+    p = tmp_path / "ladder160.pd"
+    p.write_text(emit_pd(ladder(160)) + "\n")
+    assert run_command(["verify", str(p)]) == 0
+    report = _json_out(capsys)
+    assert report["crossings"] == 160
+    assert report["ok"] is True
+
+
+def test_verify_levels_each_flip_once(trefoil_pd, monkeypatch):
+    import ribbonfold.leveling as leveling
+
+    searches = []
+    search = leveling._search
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(leveling, "_search", counting)
+    assert run_command(["verify", str(trefoil_pd)]) == 0
+    # find_leveling, then the three flips that are not the identity
+    assert len(searches) == 4
+
+
 def _benchmark_closure(name):
     from randbraids import STUCK_9, random_braid_family
 

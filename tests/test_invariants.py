@@ -26,6 +26,7 @@ from ladder import ladder
 from randbraids import random_closures
 from randgrids import iter_readable_grids, make_random_grid
 from readback_reference import reference_bgd_to_pd
+from sweep_reference import reference_sweep_bracket, reference_sweep_plan
 
 TREFOIL = PlanarDiagram(
     (
@@ -149,6 +150,55 @@ def test_sweep_matches_state_sum_on_random_closures():
     closures = random_closures(seed=12, count=20, max_crossings=12)
     assert len(closures) == 20
     assert _sweep_disagreements(closures) == []
+
+
+def test_d_power_expands_powers_of_d():
+    for k in range(8):
+        assert LaurentPoly(invariants._d_power(k)) == D_POLY ** k
+
+
+def test_normalize_is_the_writhe_monomial_times_the_bracket():
+    bracket = kauffman_bracket(TREFOIL)
+    for w in range(-7, 8):
+        expected = LaurentPoly.monomial(-1 if w % 2 else 1, -3 * w) * bracket
+        assert invariants._normalize(bracket, w) == expected
+
+
+def _sweep_cases():
+    """(name, diagram): the corpus, seeded closures up to c = 40 and the
+    ladder up to c = 80."""
+    cases = [(e.name, e.diagram) for e in bundled_table()]
+    cases += random_closures(seed=40, count=24, max_crossings=40, min_crossings=13)
+    cases += [(f"ladder c={c}", ladder(c)) for c in (8, 20, 40, 80)]
+    return cases
+
+
+def test_sweep_matches_the_loop_count_sweep():
+    # seen-a-loop weights with d applied at once give the brackets that
+    # weights keyed by the closed-loop count did
+    cases = _sweep_cases() + [("trefoil + loop", PlanarDiagram(TREFOIL.crossings, 1)),
+                              ("two loops", PlanarDiagram((), 2))]
+    bad = [name for name, d in cases if kauffman_bracket(d) != reference_sweep_bracket(d)]
+    assert bad == []
+
+
+def test_sweep_plan_matches_the_rescanning_plan():
+    for name, d in _sweep_cases():
+        mate = invariants._dart_mates(d)
+        n = len(d.crossings)
+        assert invariants._sweep_plan(n, mate) == reference_sweep_plan(n, mate), name
+
+
+def test_sweep_plan_raises_too_large_like_the_rescanning_plan(monkeypatch):
+    d = ladder(20)
+    mate = invariants._dart_mates(d)
+    monkeypatch.setattr(invariants, "DEFAULT_CAP", 3)
+    messages = []
+    for plan in (invariants._sweep_plan, reference_sweep_plan):
+        with pytest.raises(TooLarge) as e:
+            plan(20, mate)
+        messages.append(str(e.value))
+    assert messages[0] == messages[1]
 
 
 def test_bgd_to_pd_unknot():

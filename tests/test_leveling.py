@@ -12,6 +12,7 @@ from ribbonfold.leveling import (
     check_leveling,
     classify_portion,
     find_leveling,
+    flip_variants,
     optimize_flips,
 )
 from ribbonfold.model import PlanarDiagram
@@ -144,6 +145,21 @@ def test_optimize_flips(table):
         ]
         assert t1_minus(best) == min(options), name
         assert t1_minus(best) <= (e.crossings - 2) // 4, name
+
+
+def test_flip_variants_are_the_four_flips_in_order(table):
+    order = [FlipChoice(False, False), FlipChoice(False, True),
+             FlipChoice(True, False), FlipChoice(True, True)]
+    for name, e in table.items():
+        ld = find_leveling(e.diagram)
+        variants = flip_variants(ld)
+        assert [choice for choice, _ in variants] == order, name
+        assert variants[0][1] is ld, name
+        assert [fl for _, fl in variants] == [apply_flip(ld, c) for c in order], name
+        # optimize_flips takes the first variant with the fewest T1-
+        fewest = min(t1_minus(fl) for _, fl in variants)
+        first = next(v for v in variants if t1_minus(v[1]) == fewest)
+        assert optimize_flips(ld) == (first[1], first[0]), name
 
 
 def test_check_leveling_catches_tampering():
