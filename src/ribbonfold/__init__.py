@@ -48,6 +48,7 @@ from .layout import (
 )
 from .leveling import (
     FlipChoice,
+    InvalidDiagram,
     NoLevelingFound,
     PreconditionViolated,
     apply_flip,
@@ -83,7 +84,7 @@ __all__ = [
     "PdSyntaxError", "LabelError", "TableError",
     # leveling
     "find_leveling", "check_leveling", "optimize_flips", "apply_flip",
-    "FlipChoice", "NoLevelingFound", "PreconditionViolated",
+    "FlipChoice", "NoLevelingFound", "PreconditionViolated", "InvalidDiagram",
     # expand
     "build_bgd", "bgd_to_text", "parse_bgd", "ExpansionError", "BgdFormatError",
     # rewrite

@@ -2,9 +2,11 @@
 
 Machine-readable JSON goes to stdout, human summaries to stderr, and
 identical inputs with identical flags produce byte-identical outputs.
-Exit codes: 0 success, 1 parse or validation problem or a file that
-cannot be read or written, 2 precondition failure (reducible crossing,
-split diagram), 3 internal check failure.
+Exit codes: 0 success, 1 parse or validation problem (``InvalidDiagram``)
+or a file that cannot be read or written, 2 precondition failure
+(``PreconditionViolated``: reducible crossing, split diagram), 3 internal
+check failure. A diagram is checked once, by ``find_leveling``, which
+every command on PD input reaches before it computes anything else.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import csv
 import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -26,12 +27,12 @@ from .ingest import (
     LabelError,
     PdSyntaxError,
     TableError,
-    detect_nugatory,
     load_table,
     parse_pd,
 )
 from .invariants import bgd_to_pd, jones_fingerprint
 from .leveling import (
+    InvalidDiagram,
     NoLevelingFound,
     PreconditionViolated,
     best_flip,
@@ -54,7 +55,6 @@ from .model import (
     PlanarDiagram,
     RibbonfoldError,
     RoutingError,
-    validate_diagram,
 )
 from .rewrite import RewriteError, normalize
 
@@ -117,30 +117,9 @@ def _write(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _gate_diagram(d: PlanarDiagram) -> None:
-    """Map structural problems to exit codes before the pipeline runs."""
-    issues = validate_diagram(d)
-    split = [i for i in issues if i.code == "Disconnected"]
-    if split:
-        raise _Exit(2, "split diagram: " + "; ".join(i.message for i in split))
-    if issues:
-        raise _Exit(
-            1, "; ".join(f"{i.code}: {i.message}" for i in issues)
-        )
-    if d.crossings:
-        bad = detect_nugatory(d)
-        if bad:
-            raise _Exit(
-                2,
-                f"reducible (nugatory) crossing{'s' if len(bad) > 1 else ''} "
-                f"{', '.join(map(str, bad))}: untwist before folding",
-            )
-
-
 def _load_pd(path: str, allow_unknot: bool) -> PlanarDiagram:
-    d = parse_pd(_read(path), allow_unknot=allow_unknot)
-    _gate_diagram(d)
-    return d
+    """Parse only: ``find_leveling`` checks the diagram."""
+    return parse_pd(_read(path), allow_unknot=allow_unknot)
 
 
 def _load_bgd(path: str) -> Tuple[BinaryGridDiagram, PlanarDiagram]:
@@ -288,9 +267,8 @@ def _cmd_verify(ns) -> int:
             _emit_json(payload)
             _say("trivial diagram: nothing to check")
             return 0
+        ld = find_leveling(d)  # the gate, before the oracle sees d
         fp0 = fingerprint(d)
-
-        ld = find_leveling(d)
         _stage(
             stages,
             "leveling",
@@ -351,7 +329,10 @@ _TABLE_COLUMNS = [
 
 def _table_row(item: Tuple[str, str]) -> List[str]:
     name, pd_text = item
-    doc = report_json(compute_bound(parse_pd(pd_text), name=name))
+    try:
+        doc = report_json(compute_bound(parse_pd(pd_text), name=name))
+    except PreconditionViolated as e:
+        raise type(e)(f"{name}: {e}") from e
     return ["" if doc[k] is None else str(doc[k]) for k in _TABLE_COLUMNS]
 
 
@@ -361,17 +342,12 @@ def _cmd_table(ns) -> int:
     with _file(ns.input, "read"):
         entries = load_table(ns.input)
     items = [(e.name, e.pd_text) for e in entries]
-    for e in entries:
-        bad = detect_nugatory(e.diagram)
-        if bad:
-            raise _Exit(
-                2,
-                f"{e.name}: reducible (nugatory) crossings "
-                f"{', '.join(map(str, bad))}: untwist before folding",
-            )
     # the pool starts all its workers at once, so never more than rows
     workers = min(ns.jobs, len(items))
     if workers > 1:
+        # imported here: it loads multiprocessing, which nothing else needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_table_row, items))
     else:
@@ -464,7 +440,9 @@ def run_command(argv: Sequence[str]) -> int:
     except _Exit as e:
         _say(f"error: {e}")
         return e.code
-    except (PdSyntaxError, LabelError, BgdFormatError, LayoutOverlap) as e:
+    # InvalidDiagram is a PreconditionViolated, so it is caught first
+    except (PdSyntaxError, LabelError, BgdFormatError, LayoutOverlap,
+            InvalidDiagram) as e:
         _say(f"error: {e}")
         return 1
     except TableError as e:

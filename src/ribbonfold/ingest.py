@@ -219,9 +219,7 @@ def load_table(path) -> List[KnotTableEntry]:
                     )
                 issues = validate_diagram(d)
                 if issues:
-                    raise RibbonfoldError(
-                        "; ".join(f"{i.code}: {i.message}" for i in issues)
-                    )
+                    raise RibbonfoldError("; ".join(map(str, issues)))
                 entries.append(KnotTableEntry(rec["name"], c, rec["pd"], d))
             except (RibbonfoldError, ValueError, KeyError, TypeError) as exc:
                 errors.append((lineno, str(exc)))

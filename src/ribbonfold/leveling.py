@@ -29,7 +29,11 @@ from .model import (
 
 
 class PreconditionViolated(RibbonfoldError):
-    """Diagram is empty, invalid, split, or has reducible crossings."""
+    """Diagram is split, crossingless or reducible; ``find_leveling`` checks."""
+
+
+class InvalidDiagram(PreconditionViolated):
+    """Diagram is not planar (bad arity, dangling edge, genus above 0)."""
 
 
 class NoLevelingFound(RibbonfoldError):
@@ -59,16 +63,18 @@ def classify_portion(down_count: int, arc_start: int, over_pair: int) -> Portion
 
 def _preconditions(d: PlanarDiagram) -> None:
     issues = validate_diagram(d)
+    split = [i.message for i in issues if i.code == "Disconnected"]
+    if split:
+        raise PreconditionViolated("split diagram: " + "; ".join(split))
     if issues:
-        raise PreconditionViolated(
-            "; ".join(f"{i.code}: {i.message}" for i in issues)
-        )
+        raise InvalidDiagram("; ".join(map(str, issues)))
     if not d.crossings:
         raise PreconditionViolated("diagram has no crossings to level")
     bad = detect_nugatory(d)
     if bad:
         raise PreconditionViolated(
-            f"reducible crossings {bad}: untwist them first"
+            f"reducible (nugatory) crossing{'s' if len(bad) > 1 else ''} "
+            f"{', '.join(map(str, bad))}: untwist before folding"
         )
 
 
@@ -180,9 +186,11 @@ def _search(diagram: PlanarDiagram,
 def find_leveling(diagram: PlanarDiagram) -> LeveledDiagram:
     """Search for a leveling with one bottom and one top crossing.
 
-    Deterministic backtracking over placement orders and attachment arcs;
-    returns the first leveling found. ``optimize_flips`` then minimizes
-    the T1- count over the four flips.
+    This is where a diagram is checked, once: ``InvalidDiagram`` if it is
+    not planar, ``PreconditionViolated`` if it is split, crossingless or
+    reducible. Deterministic backtracking over placement orders and
+    attachment arcs then returns the first leveling found.
+    ``optimize_flips`` then minimizes the T1- count over the four flips.
     """
     _preconditions(diagram)
     ld = _search(diagram)

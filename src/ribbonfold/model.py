@@ -145,6 +145,9 @@ class ValidationIssue:
     code: str  # DanglingEdge | BadArity | Disconnected | NonPlanarRotation
     message: str
 
+    def __str__(self) -> str:
+        return f"{self.code}: {self.message}"
+
 
 def validate_diagram(d: PlanarDiagram) -> List[ValidationIssue]:
     """Structural validation: edge pairing, arity, connectivity, planarity.

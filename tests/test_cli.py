@@ -137,6 +137,89 @@ def test_nugatory_is_a_precondition_failure(tmp_path, capsys):
     assert "crossing 0" in err
 
 
+NONPLANAR = "X(1,2,3,4) X(5,6,1,2) X(3,4,5,6)"
+TWO_TREFOILS = ("X(1,5,2,4) X(3,1,4,6) X(5,3,6,2) "
+                "X(7,11,8,10) X(9,7,10,12) X(11,9,12,8)")
+PD_COMMANDS = [["bound"], ["layout", "-o", "out.svg"], ["verify"]]
+
+
+@pytest.mark.parametrize("text, code, err", [
+    (NONPLANAR, 1, "error: NonPlanarRotation: rotation system has genus 1 (faces=3, need 5)\n"),
+    (TWO_TREFOILS, 2, "error: split diagram: crossing graph has 3 unreachable vertices\n"),
+    ("X(1,1,2,2)", 2, "error: reducible (nugatory) crossing 0: untwist before folding\n"),
+], ids=["nonplanar", "split", "nugatory"])
+@pytest.mark.parametrize("command", PD_COMMANDS, ids=["bound", "layout", "verify"])
+def test_rejected_diagram_exit_codes_and_messages(
+        command, text, code, err, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.pd").write_text(text + "\n")
+    assert run_command([command[0], "bad.pd", *command[1:]]) == code
+    assert capsys.readouterr() == ("", err)
+    assert not (tmp_path / "out.svg").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_table_nugatory_row_names_its_entry(jobs, tmp_path, capsys):
+    src = _table_csv(tmp_path / "in.csv",
+                     [["trefoil", "3", TREFOIL], ["kink", "1", "X(1,1,2,2)"]])
+    out = tmp_path / "out.csv"
+    assert run_command(["table", str(src), "-o", str(out), "--jobs", jobs]) == 2
+    assert capsys.readouterr() == (
+        "", "error: kink: reducible (nugatory) crossing 0: untwist before folding\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", PD_COMMANDS, ids=["bound", "layout", "verify"])
+def test_each_command_checks_the_parsed_diagram_once(
+        command, tmp_path, monkeypatch, capsys):
+    import sys
+
+    from ribbonfold import cli, ingest, model
+
+    parsed, calls = [], []
+    parse = cli.parse_pd
+
+    def parsing(*args, **kwargs):
+        parsed.append(parse(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "parse_pd", parsing)
+    # every module holding a check, so a stage that imports it and checks
+    # again is counted too
+    for check in (model.validate_diagram, ingest.detect_nugatory):
+        def counting(d, check=check):
+            calls.append((check.__name__, d))
+            return check(d)
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "ribbonfold":
+                for key, value in list(vars(mod).items()):
+                    if value is check:
+                        monkeypatch.setattr(mod, key, counting)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "trefoil.pd").write_text(TREFOIL + "\n")
+    assert run_command([command[0], "trefoil.pd", *command[1:]]) == 0
+    [d] = parsed
+    assert sorted(name for name, arg in calls if arg is d) == [
+        "detect_nugatory", "validate_diagram"]
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # only table --jobs N > 1 needs multiprocessing, so only it loads it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ribbonfold
+
+    env = {**os.environ, "PYTHONPATH": str(Path(ribbonfold.__file__).resolve().parents[1])}
+    probe = "import sys, ribbonfold.cli; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
+
+
 def test_parse_garbage_exits_one(tmp_path):
     p = tmp_path / "junk.pd"
     p.write_text("this is not a diagram\n")
@@ -204,7 +287,8 @@ def test_table_jobs_never_exceed_rows(tmp_path, monkeypatch, capsys):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr("ribbonfold.cli.ProcessPoolExecutor", SerialPool)
+    # cli imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     out = str(tmp_path / "o.csv")
     two = _table_csv(tmp_path / "two.csv", [["trefoil", "3", TREFOIL], ["hopf", "2", HOPF]])
     assert run_command(["table", str(two), "-o", out, "--jobs", "64"]) == 0

@@ -6,6 +6,7 @@ from ribbonfold.ingest import bundled_table, parse_pd
 from ribbonfold.invariants import jones_fingerprint, jones_normalized
 from ribbonfold.leveling import (
     FlipChoice,
+    InvalidDiagram,
     NoLevelingFound,
     PreconditionViolated,
     apply_flip,
@@ -66,13 +67,17 @@ def test_portion_sign_rules():
 def test_preconditions():
     with pytest.raises(PreconditionViolated):
         find_leveling(parse_pd("", allow_unknot=True))
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match=r"^reducible \(nugatory\) crossing 0: "):
         find_leveling(parse_pd("X(1,1,2,2)"))       # reducible kink
     with pytest.raises(PreconditionViolated):
         find_leveling(parse_pd(SUM7_TXT))           # cut crossing
     split = PlanarDiagram(parse_pd(TREFOIL_TXT).crossings, free_loops=1)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match="^split diagram: 1 free loop") as e:
         find_leveling(split)
+    assert not isinstance(e.value, InvalidDiagram)
+    # not planar: a validation failure, still a PreconditionViolated
+    with pytest.raises(InvalidDiagram, match="^NonPlanarRotation: rotation system has genus 1"):
+        find_leveling(parse_pd("X(1,2,3,4) X(5,6,1,2) X(3,4,5,6)"))
 
 
 def test_whole_corpus_levels(table):
