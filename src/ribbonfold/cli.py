@@ -130,7 +130,7 @@ def _load_bgd(path: str) -> Tuple[BinaryGridDiagram, PlanarDiagram]:
     try:
         return g, bgd_to_pd(g)
     except RoutingError as e:
-        code = 2 if "Disconnected" in str(e) else 1
+        code = 2 if any(i.code == "Disconnected" for i in e.issues) else 1
         raise _Exit(code, f"grid readback failed: {e}") from e
 
 

@@ -344,6 +344,6 @@ def bgd_to_pd(g: BinaryGridDiagram) -> PlanarDiagram:
     issues = validate_diagram(out)
     if issues:
         raise RoutingError(
-            "reconstructed diagram invalid: " + "; ".join(map(str, issues))
+            "reconstructed diagram invalid: " + "; ".join(map(str, issues)), issues
         )
     return out

@@ -10,12 +10,17 @@ of its rotation, then inserts the complementary arc reversed.
 A crossing with d strands below is a portion of type Td. T1 and T3 carry a
 sign: positive when the strand that turns back at the crossing (the cup of
 a T1, the cap of a T3) passes over the strand running through.
+
+A placement costs O(1) bookkeeping: each crossing keeps a 4-bit mask of its
+placed neighbours' slots, and a 16-entry table gives a mask's down count and
+the one arc that fits it (none, or all four for 0 or 4 strands below).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .ingest import detect_nugatory
 from .model import (
@@ -78,37 +83,32 @@ def _preconditions(d: PlanarDiagram) -> None:
         )
 
 
-def _down_edges(d: PlanarDiagram, inc, placed, ci: int) -> Dict[int, int]:
-    """Slots of crossing ci whose edge descends to an already placed crossing."""
-    downs = {}
-    for s, e in enumerate(d.crossings[ci].slots):
-        (ac, asl), (bc, bsl) = inc[e]
-        oc = bc if (ac, asl) == (ci, s) else ac
-        if placed[oc]:
-            downs[s] = e
-    return downs
+# down-slot mask -> (down count d, the arcs a whose d slots from a are the mask)
+_DOWN = tuple(
+    (d, tuple(a for a in range(4) if sum(1 << (a + j) % 4 for j in range(d)) == m))
+    for m, d in ((m, bin(m).count("1")) for m in range(16))
+)
 
 
-def _attach(open_seq: Tuple[int, ...], slots, downs: Dict[int, int],
+def _neighbours(d: PlanarDiagram) -> List[List[Tuple[int, int]]]:
+    """For each crossing, by slot: (crossing across that edge, bit of its slot there)."""
+    far = {}
+    for (a, s), (b, t) in d.incidences().values():
+        far[a, s], far[b, t] = (b, 1 << t), (a, 1 << s)
+    return [[far[ci, s] for s in range(4)] for ci in range(len(d.crossings))]
+
+
+def _attach(open_seq: Tuple[int, ...], slots, d: int,
             a: int) -> Optional[Tuple[int, ...]]:
-    """Consume the down run and insert the up run; None if a does not fit."""
-    dcount = len(downs)
-    if set(downs) != {(a + j) % 4 for j in range(dcount)}:
+    """Consume the d down strands from slot a on and insert the up run
+    reversed; None unless they sit side by side, in order, in open_seq."""
+    run = (slots + slots)[a : a + 4]
+    if not d:
+        return None if open_seq else run[::-1]
+    p = open_seq.index(run[0]) if run[0] in open_seq else -1
+    if p < 0 or open_seq[p : p + d] != run[:d]:
         return None
-    if dcount:
-        expected = [slots[(a + j) % 4] for j in range(dcount)]
-        try:
-            p = open_seq.index(expected[0])
-        except ValueError:
-            return None
-        if list(open_seq[p : p + dcount]) != expected:
-            return None
-    else:
-        if open_seq:
-            return None
-        p = 0
-    ups = tuple(slots[(a + j) % 4] for j in range(3, dcount - 1, -1))
-    return open_seq[:p] + ups + open_seq[p + dcount :]
+    return open_seq[:p] + run[d:][::-1] + open_seq[p + d :]
 
 
 def _t1_minus(portions: Sequence[PortionType]) -> int:
@@ -123,64 +123,68 @@ def _search(diagram: PlanarDiagram,
     are searched. Returns the first leveling found, or None when there is
     none. The search keeps its own stack of move generators, one per
     placed crossing, so its depth is not bounded by Python's recursion.
+
+    Placing ci, or undoing it, flips one bit in the mask of each neighbour
+    (``_neighbours``, built once): ``mask[ci]`` holds the slots of ci whose
+    neighbour is placed, ``_DOWN[mask[ci]]`` its down count and fitting arcs.
+    ``frontier`` holds the unplaced crossings with a nonzero mask.
     """
     n = len(diagram.crossings)
-    inc = diagram.incidences()
+    nbr = _neighbours(diagram)
+    mask = [0] * n
     placed = [False] * n
-    order: List[int] = []
-    arcs: List[int] = []
-    levels: List[Tuple[int, ...]] = [()]
-    portions: List[PortionType] = []
+    frontier = set()
+    path: List[Tuple[int, int, Tuple[int, ...], PortionType]] = []
 
     def moves() -> Iterator[Tuple[int, int, Tuple[int, ...], PortionType]]:
         """The placements to try next, in order: (crossing, arc, level, portion)."""
-        k = len(order)
-        open_seq = levels[-1]
-        cands = []
-        saturated = 0
-        for ci in range(n) if fixed is None else (fixed[k],):
-            if placed[ci]:
-                continue
-            downs = _down_edges(diagram, inc, placed, ci)
-            if len(downs) == 4:
-                saturated += 1
-            cands.append((ci, downs))
-        if saturated >= 2:
-            return
-        for ci, downs in cands:
-            d = len(downs)
-            if k == 0:
-                if d != 0:
-                    continue
-            elif d == 0 or (d == 4) != (k == n - 1):
-                continue
+        k = len(path)
+        open_seq = path[-1][2] if path else ()
+        if fixed is not None:
+            cands = () if placed[fixed[k]] else (fixed[k],)
+        elif k == 0:
+            cands = range(n)
+        else:
+            cands = sorted(frontier)
+            if sum(1 for ci in cands if mask[ci] == 15) >= 2:
+                return  # two crossings with every strand below: no single top
+        for ci in cands:
+            d, fits = _DOWN[mask[ci]]
+            if k and (d == 0 or (d == 4) != (k == n - 1)):
+                continue  # nothing is placed yet at k = 0, so d is 0 there
             x = diagram.crossings[ci]
-            for a in range(4):
-                nxt = _attach(open_seq, x.slots, downs, a)
+            for a in fits:
+                nxt = _attach(open_seq, x.slots, d, a)
                 if nxt is not None:
                     yield ci, a, nxt, classify_portion(d, a, x.over_pair)
 
     stack = [moves()]
-    while len(order) < n:
+    while len(path) < n:
         move = next(stack[-1], None)
         if move is None:  # undo the placement that led here
             stack.pop()
             if not stack:
                 return None
-            placed[order.pop()] = False
-            arcs.pop()
-            levels.pop()
-            portions.pop()
+            ci = path.pop()[0]
+            placed[ci] = False
+            for nc, bit in nbr[ci]:
+                mask[nc] ^= bit
+                if not mask[nc]:
+                    frontier.discard(nc)
+            if mask[ci]:
+                frontier.add(ci)
             continue
-        ci, a, nxt, portion = move
+        ci = move[0]
         placed[ci] = True
-        order.append(ci)
-        arcs.append(a)
-        levels.append(nxt)
-        portions.append(portion)
+        frontier.discard(ci)
+        for nc, bit in nbr[ci]:
+            mask[nc] |= bit
+            if not placed[nc]:
+                frontier.add(nc)
+        path.append(move)
         stack.append(moves())
-    return LeveledDiagram(diagram, tuple(order), tuple(arcs),
-                          tuple(portions), tuple(levels))
+    order, arcs, levels, portions = zip(*path) if path else ((),) * 4
+    return LeveledDiagram(diagram, order, arcs, portions, ((),) + levels)
 
 
 def find_leveling(diagram: PlanarDiagram) -> LeveledDiagram:
@@ -201,8 +205,9 @@ def find_leveling(diagram: PlanarDiagram) -> LeveledDiagram:
     return ld
 
 
-_X_PERM = (2, 1, 0, 3)
-_Y_PERM = (0, 3, 2, 1)
+# slot j of a flipped crossing is slot perm[j] of the original, by (flip_x, flip_y)
+_FLIP_PERM = {(False, False): (0, 1, 2, 3), (False, True): (0, 3, 2, 1),
+              (True, False): (2, 1, 0, 3), (True, True): (2, 3, 0, 1)}
 
 
 def _flip_diagram(d: PlanarDiagram, flip_x: bool, flip_y: bool) -> PlanarDiagram:
@@ -212,19 +217,9 @@ def _flip_diagram(d: PlanarDiagram, flip_x: bool, flip_y: bool) -> PlanarDiagram
     projection the slots reflect and the over strand toggles. Doing both
     is a half turn in the plane: slots shift by two, over strand kept.
     """
-    perm = list(range(4))
-    toggle = 0
-    if flip_y:
-        perm = [perm[j] for j in _Y_PERM]
-        toggle ^= 1
-    if flip_x:
-        perm = [perm[j] for j in _X_PERM]
-        toggle ^= 1
-    out = []
-    for x in d.crossings:
-        slots = tuple(x.slots[perm[j]] for j in range(4))
-        out.append(Crossing(x.id, slots, x.over_pair ^ toggle))
-    return PlanarDiagram(tuple(out), d.free_loops)
+    pick, toggle = itemgetter(*_FLIP_PERM[flip_x, flip_y]), int(flip_x != flip_y)
+    out = tuple(Crossing(x.id, pick(x.slots), x.over_pair ^ toggle) for x in d.crossings)
+    return PlanarDiagram(out, d.free_loops)
 
 
 def apply_flip(ld: LeveledDiagram, choice: FlipChoice) -> LeveledDiagram:
@@ -275,17 +270,17 @@ def check_leveling(ld: LeveledDiagram) -> List[str]:
         return ["field lengths disagree"]
     if ld.levels[0] != () or ld.levels[-1] != ():
         problems.append("levels must start and end empty")
-    inc = d.incidences()
-    placed = [False] * n
+    nbr = _neighbours(d)
+    mask = [0] * n
     for k, ci in enumerate(ld.order):
-        downs = _down_edges(d, inc, placed, ci)
-        dcount = len(downs)
+        dcount, fits = _DOWN[mask[ci]]
         if (dcount == 0) != (k == 0):
             problems.append(f"step {k}: {dcount} strands below")
         if (dcount == 4) != (k == n - 1):
             problems.append(f"step {k}: {dcount} strands below")
         x = d.crossings[ci]
-        nxt = _attach(ld.levels[k], x.slots, downs, ld.arc_starts[k])
+        a = ld.arc_starts[k] % 4
+        nxt = _attach(ld.levels[k], x.slots, dcount, a) if a in fits else None
         if nxt is None:
             problems.append(f"step {k}: arc {ld.arc_starts[k]} does not attach")
             break
@@ -295,5 +290,6 @@ def check_leveling(ld: LeveledDiagram) -> List[str]:
         want = classify_portion(dcount, ld.arc_starts[k], x.over_pair)
         if want != ld.portions[k]:
             problems.append(f"step {k}: portion should be {want.name}")
-        placed[ci] = True
+        for nc, bit in nbr[ci]:
+            mask[nc] |= bit
     return problems

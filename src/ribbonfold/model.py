@@ -40,7 +40,11 @@ class RibbonfoldError(Exception):
 
 
 class RoutingError(RibbonfoldError):
-    """Internal strand-routing inconsistency; indicates a bug, not bad input."""
+    """Strand-routing inconsistency, with the ``issues`` of a diagram read back."""
+
+    def __init__(self, message: str, issues: Iterable[ValidationIssue] = ()):
+        super().__init__(message)
+        self.issues = tuple(issues)
 
 
 class InvalidGrid(RibbonfoldError):

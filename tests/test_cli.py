@@ -97,6 +97,41 @@ def test_grid_only_the_grid_check_rejects_exits_one(tmp_path, capsys):
         "error: row 2: uncrossed row has strands [2, 3] inside extent\n")
 
 
+KINK_BGD = (
+    "MIN extent=[1,3] ends=(up,up)\n"
+    "MIN X@3 extent=[2,4] ends=(up,up)\n"
+    "MAX extent=[1,2] ends=(down,down)\n"
+    "MAX extent=[3,4] ends=(down,down)\n"
+)
+
+
+def test_grid_split_readback_exits_two(tmp_path, capsys):
+    # a circle beside the kink reads back as a free loop
+    p = tmp_path / "split.bgd"
+    p.write_text(KINK_BGD + "MIN extent=[5,6] ends=(up,up)\nMAX extent=[5,6] ends=(down,down)\n")
+    assert run_command(["bound", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        "error: grid readback failed: reconstructed diagram invalid: "
+        "Disconnected: 1 free loop(s) split from 1 crossing(s)\n")
+
+
+@pytest.mark.parametrize("issue", [
+    ("NonPlanarRotation", "rotation system has genus 1"),
+    # the exit code follows the issue's code, not a word in its message
+    ("DanglingEdge", "edge 3 has one end (Disconnected from the rest)"),
+])
+def test_grid_invalid_readback_exits_one(tmp_path, monkeypatch, capsys, issue):
+    from ribbonfold import invariants
+    from ribbonfold.model import ValidationIssue
+
+    monkeypatch.setattr(invariants, "validate_diagram", lambda d: [ValidationIssue(*issue)])
+    p = tmp_path / "kink.bgd"
+    p.write_text(KINK_BGD)
+    assert run_command(["bound", str(p)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: grid readback failed: reconstructed diagram invalid: {issue[0]}: {issue[1]}\n")
+
+
 @pytest.mark.parametrize("text", ["", "# a comment and no rows\n"])
 @pytest.mark.parametrize("command", [["bound"], ["layout", "-o", "out.svg"], ["verify"]])
 def test_grid_with_no_rows_exits_one(tmp_path, monkeypatch, capsys, command, text):

@@ -16,8 +16,11 @@ from ribbonfold.leveling import (
     flip_variants,
     optimize_flips,
 )
+from ribbonfold.leveling import _flip_diagram, _search
 from ribbonfold.model import PlanarDiagram
-from randbraids import random_closures
+from ladder import ladder
+from leveling_reference import reference_check_leveling, reference_search
+from randbraids import STUCK_9, random_braid_family, random_closures
 
 TREFOIL_TXT = "X(4,2,5,1) X(2,6,3,5) X(6,4,1,3)"
 HOPF_TXT = "X(4,1,3,2) X(2,3,1,4)"
@@ -175,3 +178,51 @@ def test_check_leveling_catches_tampering():
     bad2 = type(ld)(ld.diagram, ld.order[::-1], ld.arc_starts,
                     ld.portions, ld.levels)
     assert check_leveling(bad2) != []
+    # the mask replay reports what the rebuilding replay reports, message for message
+    portions = ld.portions[:1] + ld.portions[2:] + ld.portions[1:2]
+    levels = ld.levels[:1] + ld.levels[2:] + ld.levels[1:2]
+    arcs1 = ld.arc_starts[:1] + ((ld.arc_starts[1] + 1) % 4,) + ld.arc_starts[2:]
+    arcs4 = (ld.arc_starts[0] + 4,) + ld.arc_starts[1:]
+    rung = find_leveling(ladder(8))
+    apart = (rung.order[0], rung.order[4]) + rung.order[2:4] + rung.order[1:2] + rung.order[5:]
+    cases = [ld, bad, bad2,
+             type(ld)(ld.diagram, ld.order, ld.arc_starts, portions, ld.levels),
+             type(ld)(ld.diagram, ld.order, ld.arc_starts, ld.portions, levels),
+             type(ld)(ld.diagram, ld.order, arcs1, ld.portions, ld.levels),
+             type(ld)(ld.diagram, ld.order, arcs4, ld.portions, ld.levels),
+             type(rung)(rung.diagram, apart, rung.arc_starts, rung.portions, rung.levels)]
+    for tampered in cases:
+        assert check_leveling(tampered) == reference_check_leveling(tampered)
+    assert check_leveling(cases[-1])[0] == "step 1: 0 strands below"
+
+
+def _reference_families(table):
+    """The diagrams tier-1 already levels, by family."""
+    diagrams = [(name, e.diagram) for name, e in table.items()]
+    diagrams += [(f"ladder_c{c}", ladder(c)) for c in (8, 20, 40, 80, 160)]
+    diagrams += random_closures(seed=12, count=20, max_crossings=12)
+    diagrams += random_closures(seed=1320, count=12, max_crossings=20,
+                                min_crossings=13)
+    diagrams += random_closures(seed=40, count=24, max_crossings=40,
+                                min_crossings=13)
+    # the random_braids benchmark closures (RANDOM_SLOTS in bench/run.py)
+    slots = tuple((3 + c % 3, c) for c in range(10, 23))
+    diagrams.append(("stuck_c09", parse_pd(STUCK_9)))
+    diagrams += [(f"rand{k}", parse_pd(text))
+                 for k, (_s, _c, _w, text) in enumerate(random_braid_family(0, slots))]
+    return diagrams
+
+
+def test_search_matches_the_rebuilding_reference(table):
+    # the mask search finds the same first leveling as rebuilding the down
+    # edges at every step, free and replayed over the order of each flip
+    for name, d in _reference_families(table):
+        ld = _search(d)
+        assert ld is not None and ld == reference_search(d), name
+        assert check_leveling(ld) == reference_check_leveling(ld) == [], name
+        for fx in (False, True):
+            for fy in (False, True):
+                flipped = _flip_diagram(d, fx, fy)
+                order = ld.order[::-1] if fx else ld.order
+                got = _search(flipped, fixed=order)
+                assert got == reference_search(flipped, fixed=order), (name, fx, fy)
