@@ -327,10 +327,10 @@ _TABLE_COLUMNS = [
 ]
 
 
-def _table_row(item: Tuple[str, str]) -> List[str]:
-    name, pd_text = item
+def _table_row(item: Tuple[str, PlanarDiagram]) -> List[str]:
+    name, diagram = item
     try:
-        doc = report_json(compute_bound(parse_pd(pd_text), name=name))
+        doc = report_json(compute_bound(diagram, name=name))
     except PreconditionViolated as e:
         raise type(e)(f"{name}: {e}") from e
     return ["" if doc[k] is None else str(doc[k]) for k in _TABLE_COLUMNS]
@@ -341,7 +341,7 @@ def _cmd_table(ns) -> int:
         raise _Exit(1, "jobs must be at least 1")
     with _file(ns.input, "read"):
         entries = load_table(ns.input)
-    items = [(e.name, e.pd_text) for e in entries]
+    items = [(e.name, e.diagram) for e in entries]
     # the pool starts all its workers at once, so never more than rows
     workers = min(ns.jobs, len(items))
     if workers > 1:

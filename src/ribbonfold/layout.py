@@ -11,13 +11,13 @@ wings, so ``build_pile`` reads the schedule off the grid in one pass,
 with the wings in column order. ``ribbon_length`` prices the
 schedule, ``emit_svg`` draws an exploded schematic, and the fold lines
 it draws are checked for pairwise disjointness in exact arithmetic.
-The check tests only creases that share a 2 x 2 cell of the plane, a
-handful per crease, so its cost grows linearly with the pile.
+The check files each crease under the one 2 x 2 cell that holds it and
+tests only creases that share a cell, so its cost grows linearly.
 
 Every coordinate is a multiple of 1/D, D = lcm(20, 2q) for q the
 denominator of epsilon/w, and is held as an int count of 1/D, so the
-check compares ints and each pixel value is one correctly rounded
-int division.
+check and the drawing share ints, and each pixel value is one
+correctly rounded int division, formatted once per document.
 
 Geometry conventions for the schematic: one width unit = the ribbon
 width w; wings sit on a pitch-2 grid so every diagonal crease pair is
@@ -304,27 +304,23 @@ def _segments_meet(s1: _Seg, s2: _Seg) -> bool:
 def _first_meeting_pair(segs: Sequence[_Seg], pitch: int) -> Optional[Tuple[int, int]]:
     """The lowest (i, j), i < j, whose segments share a point, else None.
 
-    Each segment is filed under every cell (x // pitch, y // pitch) that
-    its closed bounding box touches. Two segments that meet share the
-    cell of a common point, so only pairs that share a cell are tested.
+    Each segment is filed under every cell ((x + q) // pitch, (y + q) //
+    pitch), q = pitch // 4, that its closed bounding box touches. Two
+    segments that meet share the cell of a common point, whatever q is,
+    so only pairs that share a cell are tested.
     """
+    q = pitch // 4
     cells: Dict[Tuple[int, int], List[int]] = {}
     for i, ((xa, ya), (xb, yb)) in enumerate(segs):
-        # pitch 2 width units: wings sit 2 apart, plane bodies 4 apart
-        # and caps 2 apart, and every crease fits in a 1 x 1 box, so a
-        # cell holds a handful of creases
-        for cx in range(min(xa, xb) // pitch, max(xa, xb) // pitch + 1):
-            for cy in range(min(ya, yb) // pitch, max(ya, yb) // pitch + 1):
+        # pitch 2 width units: wings sit 2 apart, bodies 4 and caps 2,
+        # and each crease box lies in [-1/2, 1] x [-1/2, 1/2] about its
+        # wing and line, so after the offset it lies in one cell
+        for cx in range((min(xa, xb) + q) // pitch, (max(xa, xb) + q) // pitch + 1):
+            for cy in range((min(ya, yb) + q) // pitch, (max(ya, yb) + q) // pitch + 1):
                 cells.setdefault((cx, cy), []).append(i)
-    pairs = sorted({
-        (i, j)
-        for members in cells.values()
-        for k, i in enumerate(members)
-        for j in members[k + 1:]
-    })
-    return next(
-        ((i, j) for i, j in pairs if _segments_meet(segs[i], segs[j])), None
-    )
+    pairs = sorted({(i, j) for members in cells.values() if len(members) > 1
+                    for k, i in enumerate(members) for j in members[k + 1:]})
+    return next(((i, j) for i, j in pairs if _segments_meet(segs[i], segs[j])), None)
 
 
 def check_fold_lines(
@@ -346,8 +342,9 @@ def check_fold_lines(
         raise LayoutOverlap(
             f"fold lines {hit[0]} and {hit[1]} intersect at epsilon {cfg.epsilon}"
         )
-    return [tuple((Fraction(x, geo.unit), Fraction(y, geo.unit)) for x, y in seg)
-            for seg in segs]
+    values = {v for seg in segs for pt in seg for v in pt}
+    frac = {v: Fraction(v, geo.unit) for v in values}
+    return [tuple((frac[x], frac[y]) for x, y in seg) for seg in segs]
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +363,17 @@ _STYLE = (
 )
 
 
+class _Pixels(dict):
+    """Lattice count -> its pixel string at ``unit`` counts per width."""
+
+    def __init__(self, unit: int) -> None:
+        self.unit = unit
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = f"{v * SCALE / self.unit:.2f}"
+        return text
+
+
 def _runs(lo: int, hi: int, cuts: Sequence[int], gap: int) -> List[Tuple[int, int]]:
     """Split [lo, hi] into visible runs, removing ``gap`` around each cut."""
     out: List[Tuple[int, int]] = []
@@ -382,18 +390,15 @@ def emit_svg(s: FoldSchedule, config: Optional[LayoutConfig] = None) -> str:
 
     Wings first, then the body that covers them (the horizontal strand is
     the over strand), fold lines dashed, the core drawn with a gap in the
-    under strand at every crossing. The fold lines drawn are the ones
-    ``check_fold_lines`` returns, checked before anything is drawn.
+    under strand at every crossing. ``check_fold_lines`` runs first and
+    raises every LayoutOverlap; the fold lines drawn are the ones it checked.
     """
     cfg = config or LayoutConfig()
+    check_fold_lines(s, cfg)
     geo = _geometry(s, cfg)
     d = geo.unit
     half = d // 2
-    folds = iter([  # the checked creases, back on the lattice
-        tuple((x.numerator * (d // x.denominator), y.numerator * (d // y.denominator))
-              for x, y in seg)
-        for seg in check_fold_lines(s, cfg)
-    ])
+    folds = iter(_fold_segments(s, geo))
 
     xs: List[int] = [0]
     ys: List[int] = [-d]
@@ -404,29 +409,21 @@ def emit_svg(s: FoldSchedule, config: Optional[LayoutConfig] = None) -> str:
     ys.extend(y + d for y in geo.cap_y)
     x0, x1 = min(xs) - MARGIN * d, max(xs) + MARGIN * d
     y0, y1 = min(ys) - MARGIN * d, max(ys) + MARGIN * d
-
-    def px(v: int) -> str:
-        return f"{v * SCALE / d:.2f}"
-
-    def fx(v: int) -> str:
-        return px(v - x0)
-
-    def fy(v: int) -> str:
-        return px(y1 - v)
+    px = _Pixels(d)
 
     def rect(cls: str, xa: int, xb: int, ya: int, yb: int) -> str:
         return (
-            f'<rect class="{cls}" x="{fx(xa)}" y="{fy(yb)}" '
-            f'width="{px(xb - xa)}" height="{px(yb - ya)}"/>'
+            f'<rect class="{cls}" x="{px[xa - x0]}" y="{px[y1 - yb]}" '
+            f'width="{px[xb - xa]}" height="{px[yb - ya]}"/>'
         )
 
     def line(cls: str, a: _Pt, b: _Pt) -> str:
         return (
-            f'<line class="{cls}" x1="{fx(a[0])}" y1="{fy(a[1])}" '
-            f'x2="{fx(b[0])}" y2="{fy(b[1])}"/>'
+            f'<line class="{cls}" x1="{px[a[0] - x0]}" y1="{px[y1 - a[1]]}" '
+            f'x2="{px[b[0] - x0]}" y2="{px[y1 - b[1]]}"/>'
         )
 
-    w_px, h_px = px(x1 - x0), px(y1 - y0)
+    w_px, h_px = px[x1 - x0], px[y1 - y0]
     parts: List[str] = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{w_px}" height="{h_px}" viewBox="0 0 {w_px} {h_px}">',
@@ -452,8 +449,8 @@ def emit_svg(s: FoldSchedule, config: Optional[LayoutConfig] = None) -> str:
             for a, b in _runs(y, geo.top_of[slot], geo.crossings.get(slot, ()), gap):
                 parts.append(line("core", (xw, a), (xw, b)))
         parts.append(
-            f'<text class="lbl" x="{fx(xl - 7 * d // 4)}" '
-            f'y="{fy(y - d // 4)}">P{k}</text>'
+            f'<text class="lbl" x="{px[xl - 7 * d // 4 - x0]}" '
+            f'y="{px[y1 - y + d // 4]}">P{k}</text>'
         )
         parts.append("</g>")
 
@@ -465,8 +462,8 @@ def emit_svg(s: FoldSchedule, config: Optional[LayoutConfig] = None) -> str:
         parts.extend(line("fold", a, b) for a, b in islice(folds, 2))
         parts.append(line("core", (xa, y), (xb, y)))
         parts.append(
-            f'<text class="lbl" x="{fx(xb + 3 * d // 4)}" '
-            f'y="{fy(y - d // 4)}">C{m}</text>'
+            f'<text class="lbl" x="{px[xb + 3 * d // 4 - x0]}" '
+            f'y="{px[y1 - y + d // 4]}">C{m}</text>'
         )
         parts.append("</g>")
 

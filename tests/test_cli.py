@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -244,7 +245,6 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     import ribbonfold
 
@@ -357,6 +357,29 @@ def test_layout_byte_determinism(trefoil_pd, tmp_path):
     assert run_command(["layout", str(trefoil_pd), "-o", str(a)]) == 0
     assert run_command(["layout", str(trefoil_pd), "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_tracer_sees_the_fold_line_check_inside_emit_svg(
+        trefoil_pd, tmp_path, monkeypatch, capsys):
+    # the benchmark's tracer wraps check_fold_lines by its module name and
+    # counts the creases it returns
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert run_command(["layout", str(trefoil_pd), "-o", str(tmp_path / "t.svg")]) == 0
+    finally:
+        tracer.uninstall()
+    summary = _json_out(capsys)
+    assert not tracer.missing
+    spans = tracer.spans
+    [check] = [span for span in spans if span[0] == "layout.check_fold_lines"]
+    _name, _start, _end, parent, _op, error, work = check
+    assert spans[parent][0] == "layout.emit_svg"
+    assert error is None
+    assert work == 3 * summary["planes"] + 2 * summary["caps"]
 
 
 def test_layout_epsilon_too_large(trefoil_pd, tmp_path, capsys):
@@ -563,19 +586,43 @@ def test_table_preserves_row_order(tmp_path, capsys):
     assert [r[2] for r in rows[1:]] == ["10", "8", "6"]
 
 
+def _corpus_csv():
+    import ribbonfold
+
+    return Path(ribbonfold.__file__).with_name("data") / "knot_table.csv"
+
+
 def test_table_parallel_matches_serial(tmp_path):
-    src = tmp_path / "in.csv"
-    with open(src, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "crossings", "pd"])
-        w.writerow(["trefoil", "3", TREFOIL])
-        w.writerow(["hopf", "2", HOPF])
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    assert run_command(["table", str(src), "-o", str(serial)]) == 0
-    assert run_command(
-        ["table", str(src), "-o", str(parallel), "--jobs", "2"]
-    ) == 0
+    src = _corpus_csv()
+    assert run_command(["table", str(src), "-o", str(serial), "--jobs", "1"]) == 0
+    assert run_command(["table", str(src), "-o", str(parallel), "--jobs", "2"]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+    assert len(serial.read_text().splitlines()) == 39
+
+
+def test_table_parses_each_row_once(tmp_path, monkeypatch, capsys):
+    import sys
+
+    from ribbonfold import ingest
+
+    calls = []
+    parse = ingest.parse_pd
+
+    def parsing(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    # every module holding the parser, so a stage that parses again counts
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "ribbonfold":
+            for key, value in list(vars(mod).items()):
+                if value is parse:
+                    monkeypatch.setattr(mod, key, parsing)
+    out = tmp_path / "o.csv"
+    assert run_command(["table", str(_corpus_csv()), "-o", str(out), "--jobs", "1"]) == 0
+    assert _json_out(capsys)["entries"] == 38
+    assert len(calls) == 38
 
 
 def test_table_cells_match_bound_json(tmp_path, capsys):

@@ -316,19 +316,44 @@ def _fold_lines(doc):
 
 def test_svg_draws_checked_fold_lines():
     # the page maps (x, y) to ((x - x0) * SCALE, (y1 - y) * SCALE)
-    for entry in list(bundled_table())[:8]:
-        s = build_pile(run_pipeline(entry.diagram).normal)
-        segs = check_fold_lines(s)
-        drawn = _fold_lines(emit_svg(s))
-        assert len(drawn) == len(segs), entry.name
-        (ax, ay), _ = segs[0]
-        x0 = float(ax) - drawn[0][0] / SCALE
-        y1 = float(ay) + drawn[0][1] / SCALE
-        for ((xa, ya), (xb, yb)), line in zip(segs, drawn):
-            want = ((float(xa) - x0) * SCALE, (y1 - float(ya)) * SCALE,
-                    (float(xb) - x0) * SCALE, (y1 - float(yb)) * SCALE)
-            assert line == pytest.approx(want, abs=0.011), entry.name
+    for name, s in (pile for family in FAMILIES for pile in piles(family)):
+        for eps in (default_epsilon(s), TINY):
+            cfg = LayoutConfig(epsilon=eps)
+            segs = check_fold_lines(s, cfg)
+            drawn = _fold_lines(emit_svg(s, cfg))
+            assert len(drawn) == len(segs), name
+            (ax, ay), _ = segs[0]
+            x0 = float(ax) - drawn[0][0] / SCALE
+            y1 = float(ay) + drawn[0][1] / SCALE
+            for ((xa, ya), (xb, yb)), line in zip(segs, drawn):
+                want = ((float(xa) - x0) * SCALE, (y1 - float(ya)) * SCALE,
+                        (float(xb) - x0) * SCALE, (y1 - float(yb)) * SCALE)
+                assert line == pytest.approx(want, abs=0.011), (name, eps)
     assert _fold_lines(emit_svg(EMPTY)) == []
+
+
+def test_emit_svg_raises_every_overlap_inside_the_check(monkeypatch):
+    # the fold-back budget is hit in _geometry, which emit_svg reaches
+    # only through check_fold_lines, so a tracer wrapping it sees the error
+    s = _schedule(TREFOIL)
+    budget = Fraction(1, max(_wing_gaps(s)) + 2)
+    entered, raised = [], []
+    check = layout.check_fold_lines
+
+    def wrapped(*args, **kwargs):
+        entered.append(args)
+        try:
+            return check(*args, **kwargs)
+        except LayoutOverlap as e:
+            raised.append(str(e))
+            raise
+
+    monkeypatch.setattr(layout, "check_fold_lines", wrapped)
+    with pytest.raises(LayoutOverlap) as got:
+        emit_svg(s, LayoutConfig(epsilon=budget))
+    assert len(entered) == 1
+    assert raised == [str(got.value)]
+    assert "fold-back crease of plane" in raised[0]
 
 
 def test_default_epsilon_below_cap():
