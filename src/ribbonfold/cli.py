@@ -38,6 +38,7 @@ from .leveling import (
     best_flip,
     check_leveling,
     find_leveling,
+    flip_choice,
     flip_variants,
 )
 from .layout import (
@@ -276,12 +277,12 @@ def _cmd_verify(ns) -> int:
             f"order {list(ld.order)}",
         )
         variants = flip_variants(ld)
-        flips_ok = True
-        for _choice, fl in variants:
-            if check_leveling(fl) or fingerprint(fl.diagram) != fp0:
-                flips_ok = False
-        _stage(stages, "flips", flips_ok, "4 variants")
         best, choice = best_flip(variants)
+        # each flip levels and keeps the link, and the pick that bound reads
+        # off the counts is the built variants' pick
+        flips_ok = choice == flip_choice(ld) and not any(
+            check_leveling(fl) or fingerprint(fl.diagram) != fp0 for _, fl in variants)
+        _stage(stages, "flips", flips_ok, "4 variants")
         g = build_bgd(best)
         _stage(
             stages,

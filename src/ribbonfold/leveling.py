@@ -14,6 +14,8 @@ a T1, the cap of a T3) passes over the strand running through.
 A placement costs O(1) bookkeeping: each crossing keeps a 4-bit mask of its
 placed neighbours' slots, and a 16-entry table gives a mask's down count and
 the one arc that fits it (none, or all four for 0 or 4 strands below).
+A flip permutes (T1+, T1-, T3+, T3-), so ``optimize_flips`` reads the best
+one off the counts, and a flip is replayed from the leveling's own masks.
 """
 
 from __future__ import annotations
@@ -83,11 +85,12 @@ def _preconditions(d: PlanarDiagram) -> None:
         )
 
 
+# (down count d, arc a) -> the mask of the d slots from a
+_RUN_MASK = tuple(tuple(sum(1 << (a + j) % 4 for j in range(d)) for a in range(4))
+                  for d in range(5))
 # down-slot mask -> (down count d, the arcs a whose d slots from a are the mask)
-_DOWN = tuple(
-    (d, tuple(a for a in range(4) if sum(1 << (a + j) % 4 for j in range(d)) == m))
-    for m, d in ((m, bin(m).count("1")) for m in range(16))
-)
+_DOWN = tuple((d, tuple(a for a in range(4) if _RUN_MASK[d][a] == m))
+              for m, d in ((m, bin(m).count("1")) for m in range(16)))
 
 
 def _neighbours(d: PlanarDiagram) -> List[List[Tuple[int, int]]]:
@@ -111,18 +114,12 @@ def _attach(open_seq: Tuple[int, ...], slots, d: int,
     return open_seq[:p] + run[d:][::-1] + open_seq[p + d :]
 
 
-def _t1_minus(portions: Sequence[PortionType]) -> int:
-    return sum(1 for p in portions if p.index == 1 and p.sign < 0)
-
-
-def _search(diagram: PlanarDiagram,
-            fixed: Optional[Sequence[int]] = None) -> Optional[LeveledDiagram]:
+def _search(diagram: PlanarDiagram) -> Optional[LeveledDiagram]:
     """Backtrack over placement orders and attachment arcs.
 
-    With ``fixed``, crossings are placed in that order and only the arcs
-    are searched. Returns the first leveling found, or None when there is
-    none. The search keeps its own stack of move generators, one per
-    placed crossing, so its depth is not bounded by Python's recursion.
+    Returns the first leveling found, or None when there is none. The
+    search keeps its own stack of move generators, one per placed crossing,
+    so its depth is not bounded by Python's recursion.
 
     Placing ci, or undoing it, flips one bit in the mask of each neighbour
     (``_neighbours``, built once): ``mask[ci]`` holds the slots of ci whose
@@ -140,9 +137,7 @@ def _search(diagram: PlanarDiagram,
         """The placements to try next, in order: (crossing, arc, level, portion)."""
         k = len(path)
         open_seq = path[-1][2] if path else ()
-        if fixed is not None:
-            cands = () if placed[fixed[k]] else (fixed[k],)
-        elif k == 0:
+        if k == 0:
             cands = range(n)
         else:
             cands = sorted(frontier)
@@ -222,40 +217,86 @@ def _flip_diagram(d: PlanarDiagram, flip_x: bool, flip_y: bool) -> PlanarDiagram
     return PlanarDiagram(out, d.free_loops)
 
 
+def _replay(diagram: PlanarDiagram, order: Sequence[int],
+            masks: Sequence[int]) -> Optional[LeveledDiagram]:
+    """Level ``diagram`` over ``order`` from each step's down mask, or None.
+
+    Only the bottom arc can branch: one arc fits 1-3 strands below, and at
+    the top the first of four that attaches ends the leveling. So one pass
+    per bottom arc finds what a search over this order would.
+    """
+    n = len(order)
+    for a0 in range(4):
+        path, open_seq = [], ()
+        for k, (ci, m) in enumerate(zip(order, masks)):
+            d, fits = _DOWN[m]
+            x = diagram.crossings[ci]
+            hit = next(((a, s) for a in (fits if k else (a0,))
+                        if (s := _attach(open_seq, x.slots, d, a)) is not None), None)
+            if hit is None or (k and (d == 0 or (d == 4) != (k == n - 1))):
+                break
+            a, open_seq = hit
+            path.append((a, open_seq, classify_portion(d, a, x.over_pair)))
+        else:
+            arcs, levels, portions = zip(*path)
+            return LeveledDiagram(diagram, tuple(order), arcs, portions, ((),) + levels)
+    return None
+
+
+# by (flip_x, flip_y), a down mask -> the flipped crossing's: bit j is slot
+# perm[j], and flip_x, which reverses the order, swaps down and up
+_FLIP_MASK = {key: tuple(sum(((m ^ 15 * key[0]) >> p & 1) << j for j, p in enumerate(perm))
+                         for m in range(16)) for key, perm in _FLIP_PERM.items()}
+
+
 def apply_flip(ld: LeveledDiagram, choice: FlipChoice) -> LeveledDiagram:
-    """Flip a leveled diagram and re-realize it over the same order."""
-    if not choice.flip_x and not choice.flip_y:
+    """Flip ``ld`` and replay it over its order (reversed under flip_x)."""
+    key = choice.flip_x, choice.flip_y
+    if key == (False, False):
         return ld
-    d2 = _flip_diagram(ld.diagram, choice.flip_x, choice.flip_y)
-    order = tuple(reversed(ld.order)) if choice.flip_x else ld.order
-    flipped = _search(d2, fixed=order)
+    flip = _FLIP_MASK[key]
+    masks = [flip[_RUN_MASK[p.index][a]] for p, a in zip(ld.portions, ld.arc_starts)]
+    step = -1 if choice.flip_x else 1
+    flipped = _replay(_flip_diagram(ld.diagram, *key), ld.order[::step], masks[::step])
     if flipped is None:
         raise NoLevelingFound("replay failed for the given order")
     return flipped
 
 
+# a flip permutes (T1+, T1-, T3+, T3-): each flip's T1- count, in
+# flip_variants' order, is this count of the unflipped leveling
+_FLIP_T1_MINUS = ((FlipChoice(False, False), "T1-"), (FlipChoice(False, True), "T1+"),
+                  (FlipChoice(True, False), "T3+"), (FlipChoice(True, True), "T3-"))
+
+
 def flip_variants(ld: LeveledDiagram) -> List[Tuple[FlipChoice, LeveledDiagram]]:
     """The four flips of ``ld``: (F, F), (F, T), (T, F), (T, T)."""
-    choices = [FlipChoice(fx, fy) for fx in (False, True) for fy in (False, True)]
-    return [(choice, apply_flip(ld, choice)) for choice in choices]
+    return [(choice, apply_flip(ld, choice)) for choice, _ in _FLIP_T1_MINUS]
 
 
 def best_flip(
     variants: Sequence[Tuple[FlipChoice, LeveledDiagram]]
 ) -> Tuple[LeveledDiagram, FlipChoice]:
     """The first of ``variants`` with the fewest T1- portions."""
-    choice, cand = min(variants, key=lambda v: _t1_minus(v[1].portions))
+    choice, cand = min(variants, key=lambda v: v[1].portion_counts()["T1-"])
     return cand, choice
 
 
+def flip_choice(ld: LeveledDiagram) -> FlipChoice:
+    """The flip ``best_flip`` picks, read off ``ld``'s portion counts."""
+    counts = ld.portion_counts()
+    return min(_FLIP_T1_MINUS, key=lambda e: counts[e[1]])[0]
+
+
 def optimize_flips(ld: LeveledDiagram) -> Tuple[LeveledDiagram, FlipChoice]:
-    """Pick the flip minimizing the T1- count.
+    """Pick the flip minimizing the T1- count, and replay only that one.
 
     The four variants turn the multiset (T1+, T1-, T3+, T3-) into its
     permutations, so their T1- counts sum to at most c - 2 and the best
     one is at most floor((c - 2) / 4).
     """
-    return best_flip(flip_variants(ld))
+    choice = flip_choice(ld)
+    return apply_flip(ld, choice), choice
 
 
 def check_leveling(ld: LeveledDiagram) -> List[str]:

@@ -485,20 +485,62 @@ def test_verify_ladder_at_160_crossings(tmp_path, capsys):
     assert report["ok"] is True
 
 
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def test_verify_levels_each_flip_once(trefoil_pd, monkeypatch):
     import ribbonfold.leveling as leveling
 
-    searches = []
-    search = leveling._search
-
-    def counting(*args, **kwargs):
-        searches.append(args)
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(leveling, "_search", counting)
+    searches = _count_calls(monkeypatch, leveling, "_search")
+    replays = _count_calls(monkeypatch, leveling, "_replay")
     assert run_command(["verify", str(trefoil_pd)]) == 0
-    # find_leveling, then the three flips that are not the identity
-    assert len(searches) == 4
+    # find_leveling searches once; the three flips that are not the
+    # identity are replayed from its masks
+    assert len(searches) == 1
+    assert len(replays) == 3
+
+
+def test_bound_searches_once(trefoil_pd, monkeypatch):
+    import ribbonfold.leveling as leveling
+    from ribbonfold.model import PlanarDiagram
+
+    searches = _count_calls(monkeypatch, leveling, "_search")
+    replays = _count_calls(monkeypatch, leveling, "_replay")
+    incidences = _count_calls(monkeypatch, PlanarDiagram, "incidences")
+    assert run_command(["bound", str(trefoil_pd)]) == 0
+    # validate_diagram, detect_nugatory and the search; the flip is read
+    # off the portion counts and only it is replayed
+    assert len(searches) == 1
+    assert len(replays) <= 1
+    assert len(incidences) == 3
+
+
+def test_verify_fails_when_the_flip_counts_are_misread(tmp_path, monkeypatch, capsys):
+    import ribbonfold.leveling as leveling
+    from ribbonfold.ingest import bundled_table, emit_pd
+
+    # 8_19's best flip is flip_y; a table that reads T1- for every flip
+    # picks the identity, a worse bound that verify must not pass
+    p = tmp_path / "8_19.pd"
+    p.write_text(emit_pd(next(e for e in bundled_table() if e.name == "8_19").diagram) + "\n")
+    assert run_command(["verify", str(p)]) == 0
+    capsys.readouterr()
+    wrong = tuple((choice, "T1-") for choice, _ in leveling._FLIP_T1_MINUS)
+    monkeypatch.setattr(leveling, "_FLIP_T1_MINUS", wrong)
+    assert run_command(["verify", str(p)]) == 3
+    out, err = capsys.readouterr()
+    stages = {s["stage"]: s["ok"] for s in json.loads(out)["stages"]}
+    assert stages["flips"] is False
+    assert "FAIL flips: 4 variants" in err
 
 
 def _benchmark_closure(name):

@@ -10,6 +10,7 @@ from ribbonfold.leveling import (
     NoLevelingFound,
     PreconditionViolated,
     apply_flip,
+    best_flip,
     check_leveling,
     classify_portion,
     find_leveling,
@@ -215,7 +216,8 @@ def _reference_families(table):
 
 def test_search_matches_the_rebuilding_reference(table):
     # the mask search finds the same first leveling as rebuilding the down
-    # edges at every step, free and replayed over the order of each flip
+    # edges at every step, and each flip replayed from its masks is what
+    # the rebuilding search finds over the flipped order
     for name, d in _reference_families(table):
         ld = _search(d)
         assert ld is not None and ld == reference_search(d), name
@@ -224,5 +226,7 @@ def test_search_matches_the_rebuilding_reference(table):
             for fy in (False, True):
                 flipped = _flip_diagram(d, fx, fy)
                 order = ld.order[::-1] if fx else ld.order
-                got = _search(flipped, fixed=order)
+                got = apply_flip(ld, FlipChoice(fx, fy))
                 assert got == reference_search(flipped, fixed=order), (name, fx, fy)
+        # the flip read off the counts is the one the built variants give
+        assert optimize_flips(ld) == best_flip(flip_variants(ld)), name
