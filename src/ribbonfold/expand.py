@@ -14,9 +14,9 @@ import re
 from typing import Dict, List, Tuple
 
 from .model import (
+    BLOCK_NAMES,
     END_KINDS,
     BinaryGridDiagram,
-    BlockType,
     EndKind,
     Event,
     InvalidGrid,
@@ -164,8 +164,7 @@ def build_bgd(leveled: LeveledDiagram) -> BinaryGridDiagram:
             else:
                 raise ExpansionError(f"bad down count {dcount}")
 
-        emitted = tuple(BlockType(ev[0], ev[3] is not None).name
-                        for ev in b.events[before:])
+        emitted = tuple(BLOCK_NAMES[ev[0], ev[3] is not None] for ev in b.events[before:])
         if emitted != EXPANSION_TABLE[portion.name]:
             raise ExpansionError(
                 f"portion {portion.name} emitted {emitted}, "

@@ -336,8 +336,7 @@ class BlockType:
 
     @property
     def name(self) -> str:
-        base = {Shape.MIN: 1, Shape.TRANS: 2, Shape.MAX: 3}[self.shape]
-        return f"B{base}" if self.crossed else f"B{base}r"
+        return BLOCK_NAMES[self.shape, self.crossed]
 
     def __str__(self) -> str:
         return self.name
@@ -369,6 +368,12 @@ END_KINDS: Dict[Shape, Tuple[Tuple[EndKind, EndKind], ...]] = {
     Shape.MAX: ((EndKind.DOWN, EndKind.DOWN),),
     Shape.TRANS: ((EndKind.DOWN, EndKind.UP), (EndKind.UP, EndKind.DOWN)),
 }
+
+# the name of each (shape, crossed) block: B1, B2, B3 for a crossed cup,
+# sideways row and cap, with an r when the row crosses nothing
+BLOCK_NAMES: Dict[Tuple[Shape, bool], str] = {
+    (shape, crossed): f"B{base}" if crossed else f"B{base}r"
+    for base, shape in enumerate(Shape, 1) for crossed in (True, False)}
 
 
 def make_row(shape: Shape, a: int, b: int, crossed: Optional[int]) -> Row:
@@ -404,7 +409,7 @@ class BinaryGridDiagram:
     def block_multiset(self) -> Dict[str, int]:
         out = {"B1": 0, "B2": 0, "B3": 0, "B1r": 0, "B2r": 0, "B3r": 0}
         for r in self.rows:
-            out[r.block_type.name] += 1
+            out[BLOCK_NAMES[r.shape, r.crossed_column is not None]] += 1
         return out
 
 
@@ -416,41 +421,45 @@ def check_bgd(g: BinaryGridDiagram) -> List[str]:
     row's down ends must close open columns, its up ends must open new
     ones, the strands left strictly inside its extent must be exactly
     its crossed column (one or none), and no column may be open at the
-    top. ``BinaryGridDiagram`` runs it on every grid made.
+    top. A down end goes first, so only an (up, down) row is replayed
+    right end first, and the strands inside an extent, found by two
+    bisections, are listed only for a problem. ``BinaryGridDiagram``
+    runs it on every grid made.
     """
     problems: List[str] = []
     open_cols: List[int] = []  # sorted
+    up = EndKind.UP
     for i, r in enumerate(g.rows):
-        a, b = r.extent
-        for c in (a, b, r.crossed_column):
-            if c is not None and not isinstance(c, int):
-                problems.append(f"row {i}: column {c} is not an integer")
+        (a, b), (ka, kb), x = r.extent, r.end_kinds, r.crossed_column
+        if type(a) is not int or type(b) is not int or not (x is None or type(x) is int):
+            for c in (a, b, x):
+                if c is not None and not isinstance(c, int):
+                    problems.append(f"row {i}: column {c} is not an integer")
         if not a < b:
             problems.append(f"row {i}: extent {r.extent} not strictly increasing")
         if r.end_kinds not in END_KINDS[r.shape]:
             problems.append(f"row {i}: end kinds {tuple(k.value for k in r.end_kinds)} "
                             f"illegal for {r.shape.value}")
-        # down ends first: a sideways row closes its old column, then opens
-        for c, kind in sorted(zip(r.extent, r.end_kinds),
-                              key=lambda end: end[1] is EndKind.UP):
+        for c, kind in ((b, kb), (a, ka)) if ka is up and kb is not up else ((a, ka), (b, kb)):
             k = bisect.bisect_left(open_cols, c)
             is_open = k < len(open_cols) and open_cols[k] == c
-            if kind is EndKind.UP and not is_open:
+            if kind is up and not is_open:
                 open_cols.insert(k, c)
-            elif kind is EndKind.UP:
+            elif kind is up:
                 problems.append(f"row {i}: created column {c} already open below")
             elif is_open:
                 del open_cols[k]
             else:
                 problems.append(f"row {i}: consumed column {c} absent below")
-        # the binary condition
-        inside = open_cols[bisect.bisect_right(open_cols, a):bisect.bisect_left(open_cols, b)]
-        if r.crossed_column is None:
-            if inside:
-                problems.append(f"row {i}: uncrossed row has strands {inside} inside extent")
-        elif inside != [r.crossed_column]:
-            problems.append(f"row {i}: crossed row expects exactly [{r.crossed_column}] "
-                            f"inside extent, got {inside}")
+        # the binary condition: open_cols[lo:hi] lie strictly inside
+        lo, hi = bisect.bisect_right(open_cols, a), bisect.bisect_left(open_cols, b)
+        if x is None:
+            if hi > lo:
+                problems.append(f"row {i}: uncrossed row has strands "
+                                f"{open_cols[lo:hi]} inside extent")
+        elif hi - lo != 1 or open_cols[lo] != x:
+            problems.append(f"row {i}: crossed row expects exactly [{x}] "
+                            f"inside extent, got {open_cols[lo:hi]}")
     if open_cols:
         problems.append("diagram does not end with zero strands")
     return problems
@@ -477,17 +486,29 @@ def _columns(events: List[Event]) -> Dict[int, int]:
     those edges, ties to the smallest id, numbers the strands. The
     relation is acyclic: strand lifetimes are intervals, so strands that
     pairwise coexist all coexist at one height, where they are ordered.
+
+    A list in normal form (no sideways row, every cup before some cap,
+    as ``normalize`` hands over) needs no sort: every strand is open just
+    after the last cup, so the relation chains the list at that height,
+    and its one topological order is that list. The caps still replay.
     """
+    shapes = [ev[0] for ev in events]
+    cups = shapes.count(Shape.MIN)
+    peak = cups < len(shapes) and Shape.TRANS not in shapes and Shape.MAX not in shapes[:cups]
     order: List[int] = []
     right_of: Dict[int, Set[int]] = {}
+    col: Dict[int, int] = {}
 
     def link(lo: int, hi: int) -> None:
-        """Record the adjacent pairs of order[lo - 1:hi + 1]."""
-        for k in range(max(lo - 1, 0), min(hi, len(order) - 1)):
-            right_of[order[k]].add(order[k + 1])
+        """Record the adjacent pairs of order[lo - 1:hi + 1] (none in normal form)."""
+        if not peak:
+            for k in range(max(lo - 1, 0), min(hi, len(order) - 1)):
+                right_of[order[k]].add(order[k + 1])
 
     for shape, a, b, x, anchor in events:
         if shape is Shape.MAX:
+            if peak and not col:  # just after the last cup: number the strands
+                col = {v: k for k, v in enumerate(order, 1)}
             lo = order.index(a)
             hi = lo + (2 if x is None else 3)
             assert order[lo + 1:hi] == ([b] if x is None else [x, b]), (
@@ -517,10 +538,11 @@ def _columns(events: List[Event]) -> Dict[int, int]:
             order[lo:lo + 1] = [a, x, b]
             link(lo, lo + 3)
 
+    if peak:
+        return col
     indegree = Counter(w for succ in right_of.values() for w in succ)
     ready = [v for v in right_of if not indegree[v]]
     heapq.heapify(ready)
-    col: Dict[int, int] = {}
     while ready:
         v = heapq.heappop(ready)
         col[v] = len(col) + 1

@@ -1,8 +1,16 @@
+import random
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from ribbonfold import model
+from ribbonfold.expand import build_bgd
+from ribbonfold.ingest import bundled_table
+from ribbonfold.leveling import find_leveling, optimize_flips
 from ribbonfold.model import (
+    BLOCK_NAMES,
     BinaryGridDiagram,
     BlockType,
     Crossing,
@@ -15,7 +23,12 @@ from ribbonfold.model import (
     check_bgd,
     validate_diagram,
 )
+from ribbonfold.rewrite import _events, normalize
+
+from columns_reference import reference_check_bgd, reference_columns
 from grids import build
+from randgrids import make_random_grid
+from test_leveling import _reference_families
 
 TREFOIL = PlanarDiagram(
     (
@@ -99,6 +112,11 @@ def test_block_type_bijection():
     assert names == {"B1", "B2", "B3", "B1r", "B2r", "B3r"}
     assert BlockType(Shape.MIN, True).name == "B1"
     assert BlockType(Shape.TRANS, False).name == "B2r"
+    # the one name table, and block_multiset read through it, row by row
+    assert len(BLOCK_NAMES) == 6 and set(BLOCK_NAMES.values()) == names
+    for g in _corpus_grids():
+        recount = Counter(r.block_type.name for r in g.rows)
+        assert g.block_multiset() == {k: recount[k] for k in g.block_multiset()}
 
 
 def test_grid_builder_and_checks():
@@ -148,6 +166,8 @@ def _raises(rows, msg):
     with pytest.raises(InvalidGrid) as e:
         BinaryGridDiagram(tuple(rows))
     assert str(e.value) == msg
+    tampered = SimpleNamespace(rows=tuple(rows))
+    assert check_bgd(tampered) == reference_check_bgd(tampered)
 
 
 def test_check_row_catches_problems():
@@ -171,3 +191,82 @@ def test_check_bgd_catches_problems():
             "row 1: created column 2 already open below; "
             "row 3: consumed column 2 absent below")
     _raises([CUP12], "diagram does not end with zero strands")
+
+
+def _corpus_grids():
+    """The expanded grid and its normal form for each corpus diagram."""
+    for e in bundled_table():
+        g = build_bgd(optimize_flips(find_leveling(e.diagram))[0])
+        yield g
+        yield normalize(g)
+
+
+def _mutants(g, rng):
+    """Copies of g's rows with one row changed: its end kinds swapped or
+    flipped, its crossed column moved, added or removed, its extent
+    reversed, or a column made a Fraction (an int-valued one half the
+    time)."""
+    for _ in range(4):
+        i = rng.randrange(len(g.rows))
+        r = g.rows[i]
+        (a, b), x = r.extent, r.crossed_column
+        frac = rng.choice((Fraction(1, 2), Fraction(0)))
+        changed = [
+            Row(r.shape, r.extent, r.end_kinds[::-1], x),
+            Row(r.shape, r.extent, tuple(UP if k is DOWN else DOWN for k in r.end_kinds), x),
+            Row(r.shape, r.extent, r.end_kinds, (a if x is None else x) + rng.choice((-1, 1))),
+            Row(r.shape, (b, a), r.end_kinds, x),
+            Row(r.shape, (a + frac, b), r.end_kinds, x),
+            Row(r.shape, (a, b + frac), r.end_kinds, x),
+        ]
+        if x is not None:
+            changed += [Row(r.shape, r.extent, r.end_kinds, None),
+                        Row(r.shape, r.extent, r.end_kinds, x + frac)]
+        for row in changed:
+            yield SimpleNamespace(rows=g.rows[:i] + (row,) + g.rows[i + 1:])
+
+
+def test_check_bgd_matches_the_sorting_reference():
+    # the sort-free check lists the problems of the check that sorts each
+    # row's ends and slices every extent, in the same order and words
+    rng = random.Random(20)
+    found = total = 0
+    for g in _corpus_grids():
+        assert check_bgd(g) == reference_check_bgd(g) == []
+        for tampered in _mutants(g, rng):
+            problems = check_bgd(tampered)
+            assert problems == reference_check_bgd(tampered), tampered.rows
+            found += bool(problems)
+            total += 1
+    assert total > 1000 and found > total // 2
+
+
+def test_columns_match_the_kahn_reference(monkeypatch):
+    # the expansion's events and the normal form's, numbered by the peak
+    # order or by Kahn's sort, get the columns Kahn's sort alone gives
+    columns, lists = model._columns, []
+    monkeypatch.setattr(model, "_columns", lambda events: lists.append(events) or columns(events))
+    table = {e.name: e for e in bundled_table()}
+    for _name, d in _reference_families(table):
+        normalize(build_bgd(optimize_flips(find_leveling(d))[0]))
+    for seed in range(200):
+        for g in (make_random_grid(random.Random(seed)),
+                  make_random_grid(random.Random(seed), max_crossings=30, body_ops=40)):
+            lists.append(_events(g))
+            normalize(g)
+    peaks = 0
+    for events in lists:
+        assert columns(events) == reference_columns(events)
+        shapes = [ev[0] for ev in events]
+        peaks += Shape.TRANS not in shapes and shapes == sorted(shapes, key=lambda s: s is Shape.MAX)
+    assert peaks > 500 and len(lists) - peaks > 500
+
+
+def test_peak_columns_still_check_the_caps():
+    # a normal-form list whose cap skips a strand fails as it did under Kahn
+    cups = [(Shape.MIN, 0, 1, None, None), (Shape.MIN, 2, 3, None, None)]
+    for cap in [(Shape.MAX, 0, 2, None, None), (Shape.MAX, 0, 3, 2, None)]:
+        events = cups + [cap, (Shape.MAX, 1, 3, None, None)]
+        for number in (model._columns, reference_columns):
+            with pytest.raises(AssertionError, match=f"cap on 0, {cap[2]}: not adjacent"):
+                number(events)
