@@ -28,11 +28,9 @@ from __future__ import annotations
 
 import bisect
 import enum
-import heapq
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 class RibbonfoldError(Exception):
@@ -480,77 +478,37 @@ Event = Tuple[Shape, int, int, Optional[int], Optional[int]]
 def _columns(events: List[Event]) -> Dict[int, int]:
     """Columns 1, 2, ... for the strands of ``events`` replayed in order.
 
-    The strands are kept in one left-to-right list, where each event's
-    strands (with the one it crosses) are contiguous; every pair that is
-    adjacent at some moment gives a left-of edge, and Kahn's sort of
-    those edges, ties to the smallest id, numbers the strands. The
-    relation is acyclic: strand lifetimes are intervals, so strands that
-    pairwise coexist all coexist at one height, where they are ordered.
-
-    A list in normal form (no sideways row, every cup before some cap,
-    as ``normalize`` hands over) needs no sort: every strand is open just
-    after the last cup, so the relation chains the list at that height,
-    and its one topological order is that list. The caps still replay.
+    Every strand ever born is kept in one left-to-right linked list
+    (``left`` and ``right``, with None as both ends): a cup over x puts
+    a just left of x and b just right of it, every other birth goes just
+    left of its anchor, and caps take nothing out. Births and deaths
+    never reorder the strands that stay open, so at every height the
+    open strands lie in the list in their left-to-right order, and one
+    walk along it numbers them. In normal form every strand is open just
+    after the last cup, so the numbering is the order at that peak.
     """
-    shapes = [ev[0] for ev in events]
-    cups = shapes.count(Shape.MIN)
-    peak = cups < len(shapes) and Shape.TRANS not in shapes and Shape.MAX not in shapes[:cups]
-    order: List[int] = []
-    right_of: Dict[int, Set[int]] = {}
-    col: Dict[int, int] = {}
+    left: Dict[Optional[int], Optional[int]] = {None: None}
+    right: Dict[Optional[int], Optional[int]] = {None: None}
 
-    def link(lo: int, hi: int) -> None:
-        """Record the adjacent pairs of order[lo - 1:hi + 1] (none in normal form)."""
-        if not peak:
-            for k in range(max(lo - 1, 0), min(hi, len(order) - 1)):
-                right_of[order[k]].add(order[k + 1])
+    def insert(v: int, before: Optional[int]) -> None:
+        u = left[before]
+        left[v], right[v], right[u], left[before] = u, before, v, v
 
     for shape, a, b, x, anchor in events:
         if shape is Shape.MAX:
-            if peak and not col:  # just after the last cup: number the strands
-                col = {v: k for k, v in enumerate(order, 1)}
-            lo = order.index(a)
-            hi = lo + (2 if x is None else 3)
-            assert order[lo + 1:hi] == ([b] if x is None else [x, b]), (
-                f"cap on {a}, {b}: not adjacent")
-            del order[hi - 1], order[lo]
-            link(lo, hi - 2)
             continue
-        right_of[b] = set()
-        if shape is Shape.TRANS:
-            # b is born beside a, or beyond x from it, so that a, x and b
-            # are adjacent for that moment; then a ends
-            lo = len(order) if anchor is None else order.index(anchor)
-            order.insert(lo, b)
-            j = order.index(a)
-            lo, hi = min(lo, j), max(lo, j) + 1
-            link(lo, hi)
-            del order[j]
-            link(lo, hi - 1)
-            continue
-        right_of[a] = set()
-        if x is None:
-            lo = len(order) if anchor is None else order.index(anchor)
-            order[lo:lo] = [a, b]
-            link(lo, lo + 2)
+        if shape is Shape.MIN and x is not None:
+            insert(a, x)
+            insert(b, right[x])
         else:
-            lo = order.index(x)
-            order[lo:lo + 1] = [a, x, b]
-            link(lo, lo + 3)
-
-    if peak:
-        return col
-    indegree = Counter(w for succ in right_of.values() for w in succ)
-    ready = [v for v in right_of if not indegree[v]]
-    heapq.heapify(ready)
-    while ready:
-        v = heapq.heappop(ready)
+            if shape is Shape.MIN:
+                insert(a, anchor)
+            insert(b, anchor)
+    col: Dict[int, int] = {}
+    v = right[None]
+    while v is not None:
         col[v] = len(col) + 1
-        for w in right_of[v]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                heapq.heappush(ready, w)
-    assert len(col) == len(right_of), "the left-of relation has a cycle"
+        v = right[v]
     return col
 
 

@@ -9,10 +9,10 @@ plain caps. Raising every cap past every cup above it, one planar
 isotopy per swap, then ends with all cups in their order followed by
 all caps in theirs, and that order always replays: a cup born above a
 cap can be born below it next to the same neighbour. The columns come
-from ``model.grid_from_events``: for the normal form, the strands'
-order just after the last cup, with no sort; for the other grids, as
-for the expanded grid, a sort of their left-of relation. Each grid
-made is checked once, by its constructor (``model.InvalidGrid``).
+from ``model.grid_from_events``, which numbers every grid's strands by
+one insertion rule; for the normal form that is the strands' order
+just after the last cup. Each grid made is checked once, by its
+constructor (``model.InvalidGrid``).
 """
 
 from __future__ import annotations

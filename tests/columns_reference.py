@@ -1,13 +1,14 @@
 """Columns by Kahn's sort and the sorting grid check: ``model``'s references.
 
 ``reference_columns`` numbers the strands of any event list by a Kahn
-sort of the left-of relation, the way ``model._columns`` does for every
-list that is not in normal form. ``reference_check_bgd`` replays the
-open columns with one sort of each row's ends and lists the strands
-inside every extent. ``model._columns`` must give the same columns and
-``model.check_bgd`` the same problems, in the same order and words.
-Neither takes a shortcut: one sorts every list, the other the ends of
-every row.
+sort of the left-of relation: every pair of strands that is ever side
+by side. ``reference_check_bgd`` replays the open columns with one sort
+of each row's ends and lists the strands inside every extent.
+``model._columns`` must give a numbering consistent with the reference,
+one whose grid reads back to the same events, and the same numbering on
+a list in normal form; ``model.check_bgd`` must give the same problems,
+in the same order and words. Neither takes a shortcut: one sorts every
+list, the other the ends of every row.
 """
 
 import bisect

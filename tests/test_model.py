@@ -241,9 +241,16 @@ def test_check_bgd_matches_the_sorting_reference():
     assert total > 1000 and found > total // 2
 
 
+def _grid_on(events, col):
+    """The grid of ``events`` on the columns ``col``."""
+    return model.stack_rows((shape, col[a], col[b], None if x is None else col[x])
+                            for shape, a, b, x, _ in events)
+
+
 def test_columns_match_the_kahn_reference(monkeypatch):
-    # the expansion's events and the normal form's, numbered by the peak
-    # order or by Kahn's sort, get the columns Kahn's sort alone gives
+    # the expansion's events and the normal form's get a numbering of
+    # their strands 1..N whose grid reads back to the events of the grid
+    # on Kahn's columns, and a normal-form list gets Kahn's columns
     columns, lists = model._columns, []
     monkeypatch.setattr(model, "_columns", lambda events: lists.append(events) or columns(events))
     table = {e.name: e for e in bundled_table()}
@@ -256,17 +263,29 @@ def test_columns_match_the_kahn_reference(monkeypatch):
             normalize(g)
     peaks = 0
     for events in lists:
-        assert columns(events) == reference_columns(events)
+        col, ref = columns(events), reference_columns(events)
+        assert col.keys() == ref.keys()
+        assert sorted(col.values()) == list(range(1, len(col) + 1))
+        assert _events(_grid_on(events, col)) == _events(_grid_on(events, ref))
         shapes = [ev[0] for ev in events]
-        peaks += Shape.TRANS not in shapes and shapes == sorted(shapes, key=lambda s: s is Shape.MAX)
+        peak = Shape.TRANS not in shapes and shapes == sorted(shapes, key=lambda s: s is Shape.MAX)
+        if peak:
+            assert col == ref
+        peaks += peak
     assert peaks > 500 and len(lists) - peaks > 500
 
 
-def test_peak_columns_still_check_the_caps():
-    # a normal-form list whose cap skips a strand fails as it did under Kahn
+def test_non_adjacent_caps_are_rejected():
+    # a cap that skips a strand is left to the grid check, which rejects
+    # it; Kahn's reference still fails it on its own assertion
     cups = [(Shape.MIN, 0, 1, None, None), (Shape.MIN, 2, 3, None, None)]
-    for cap in [(Shape.MAX, 0, 2, None, None), (Shape.MAX, 0, 3, 2, None)]:
+    for cap, problem in [
+            ((Shape.MAX, 0, 2, None, None), "row 2: uncrossed row has strands [2] inside extent"),
+            ((Shape.MAX, 0, 3, 2, None),
+             "row 2: crossed row expects exactly [3] inside extent, got [2, 3]")]:
         events = cups + [cap, (Shape.MAX, 1, 3, None, None)]
-        for number in (model._columns, reference_columns):
-            with pytest.raises(AssertionError, match=f"cap on 0, {cap[2]}: not adjacent"):
-                number(events)
+        with pytest.raises(InvalidGrid) as e:
+            model.grid_from_events(events)
+        assert problem in str(e.value)
+        with pytest.raises(AssertionError, match=f"cap on 0, {cap[2]}: not adjacent"):
+            reference_columns(events)
