@@ -115,21 +115,8 @@ def relabel_along_strands(d: PlanarDiagram) -> PlanarDiagram:
     """Renumber edges 1..2n consecutively along each strand component."""
     from .invariants import orient  # deferred: invariants imports model only
 
-    inc = d.incidences()
-    o = orient(d)
-    new_label: dict = {}
-    counter = 1
-    for e0 in d.edge_ids():
-        if e0 in new_label:
-            continue
-        e, head = e0, o.heads[e0]
-        while e not in new_label:
-            new_label[e] = counter
-            counter += 1
-            ci, s = head
-            e = d.crossings[ci].slots[(s + 2) % 4]
-            a, b = inc[e]
-            head = b if a == (ci, (s + 2) % 4) else a
+    # orient lists the edges in the order its walk meets them
+    new_label = {e: k for k, e in enumerate(orient(d).heads, start=1)}
     crossings = tuple(
         Crossing(x.id, tuple(new_label[e] for e in x.slots), x.over_pair)
         for x in d.crossings
@@ -144,15 +131,8 @@ def detect_nugatory(d: PlanarDiagram) -> List[int]:
     diagram, which the leveling stage cannot accept.
     """
     n = len(d.crossings)
-    bad = set()
-    adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    for e, uses in d.incidences().items():
-        (c1, _), (c2, _) = uses
-        if c1 == c2:
-            bad.add(c1)
-        else:
-            adj[c1].append((c2, e))
-            adj[c2].append((c1, e))
+    mate = d.mates
+    bad = {dart >> 2 for dart, m in enumerate(mate) if m >> 2 == dart >> 2}
 
     disc = [-1] * n
     low = [0] * n
@@ -163,11 +143,11 @@ def detect_nugatory(d: PlanarDiagram) -> List[int]:
         disc[root] = low[root] = timer
         timer += 1
         root_children = 0
-        stack = [(root, -1, iter(adj[root]))]
+        stack = [(root, -1, iter(range(4 * root, 4 * root + 4)))]
         while stack:
-            v, pedge, it = stack[-1]
-            step = next(it, None)
-            if step is None:
+            v, entry, it = stack[-1]
+            dart = next(it, None)
+            if dart is None:
                 stack.pop()
                 if stack:
                     u = stack[-1][0]
@@ -179,13 +159,16 @@ def detect_nugatory(d: PlanarDiagram) -> List[int]:
                     elif low[v] >= disc[u]:
                         bad.add(u)
                 continue
-            w, e = step
-            if e == pedge:
+            m = mate[dart]
+            w = m >> 2
+            # skipping only the entry dart keeps low[] the true low-point
+            # over parallel edges; the cut-vertex test alone would not need it
+            if dart == entry or w == v:
                 continue
             if disc[w] == -1:
                 disc[w] = low[w] = timer
                 timer += 1
-                stack.append((w, e, iter(adj[w])))
+                stack.append((w, m, iter(range(4 * w, 4 * w + 4))))
             else:
                 low[v] = min(low[v], disc[w])
     return sorted(d.crossings[i].id for i in bad)

@@ -59,7 +59,10 @@ class TooLarge(RibbonfoldError):
 
 @dataclass(frozen=True)
 class DiagramOrientation:
-    """Deterministic orientation: per edge, the incidence it flows into."""
+    """Deterministic orientation: per edge, the incidence it flows into.
+
+    ``heads`` lists the edges in the order ``orient`` walks them.
+    """
 
     heads: Dict[int, Tuple[int, int]]  # edge -> (crossing index, slot)
     comp_of: Dict[int, int]            # edge -> strand component index
@@ -68,23 +71,23 @@ class DiagramOrientation:
 
 def orient(d: PlanarDiagram) -> DiagramOrientation:
     """Orient every strand component, starting each at its smallest edge id
-    directed into that edge's lexicographically smallest incidence."""
-    inc = d.incidences()
+    directed into that edge's smallest dart."""
+    mate = d.mates
+    edge = [e for x in d.crossings for e in x.slots]  # by dart
+    first: Dict[int, int] = {}
+    for dart, e in enumerate(edge):
+        first.setdefault(e, dart)
     heads: Dict[int, Tuple[int, int]] = {}
     comp_of: Dict[int, int] = {}
     comp = 0
-    for e0 in d.edge_ids():
+    for e0 in sorted(first):
         if e0 in comp_of:
             continue
-        e, head = e0, min(inc[e0])
+        e, head = e0, first[e0]
         while e not in comp_of:
             comp_of[e] = comp
-            heads[e] = head
-            ci, s = head
-            exit_dart = (ci, (s + 2) % 4)
-            e2 = d.crossings[ci].slots[exit_dart[1]]
-            a, b = inc[e2]
-            e, head = e2, (b if a == exit_dart else a)
+            heads[e] = divmod(head, 4)
+            e, head = edge[head ^ 2], mate[head ^ 2]
         comp += 1
     return DiagramOrientation(heads, comp_of, comp)
 
@@ -109,19 +112,7 @@ def writhe(d: PlanarDiagram) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _dart_mates(d: PlanarDiagram) -> Dict[int, int]:
-    """Dart 4*ci+slot -> the dart at the other end of the same edge."""
-    mate: Dict[int, int] = {}
-    for e, uses in d.incidences().items():
-        if len(uses) != 2:
-            raise ValueError(f"edge {e} has {len(uses)} ends (need 2)")
-        (ca, sa), (cb, sb) = uses
-        a, b = 4 * ca + sa, 4 * cb + sb
-        mate[a], mate[b] = b, a
-    return mate
-
-
-def _sweep_plan(n: int, mate: Dict[int, int]) -> List[Tuple[int, List[int]]]:
+def _sweep_plan(n: int, mate: Tuple[int, ...]) -> List[Tuple[int, List[int]]]:
     """Crossing order with the sorted frontier (open darts) after each step.
 
     Greedy: next comes the crossing that closes the most open edges, ties
@@ -182,7 +173,7 @@ def kauffman_bracket(d: PlanarDiagram) -> LaurentPoly:
     n = len(d.crossings)
     if n == 0 and d.free_loops == 0:
         raise ValueError("empty diagram has no bracket")
-    mate = _dart_mates(d)
+    mate = d.mates
     # a crossing's two arcs close at most two loops, so d^0..d^2 suffice
     powers = [_d_power(k) for k in range(3)]
     states: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {(): {(0, 0): 1}}

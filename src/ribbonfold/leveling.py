@@ -95,10 +95,8 @@ _DOWN = tuple((d, tuple(a for a in range(4) if _RUN_MASK[d][a] == m))
 
 def _neighbours(d: PlanarDiagram) -> List[List[Tuple[int, int]]]:
     """For each crossing, by slot: (crossing across that edge, bit of its slot there)."""
-    far = {}
-    for (a, s), (b, t) in d.incidences().values():
-        far[a, s], far[b, t] = (b, 1 << t), (a, 1 << s)
-    return [[far[ci, s] for s in range(4)] for ci in range(len(d.crossings))]
+    far = [(m >> 2, 1 << (m & 3)) for m in d.mates]
+    return [far[4 * ci : 4 * ci + 4] for ci in range(len(d.crossings))]
 
 
 def _attach(open_seq: Tuple[int, ...], slots, d: int,

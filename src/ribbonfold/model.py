@@ -6,6 +6,10 @@ Conventions used throughout:
   Slots 0/2 and 1/3 are the two transversal strand pairs. ``over_pair``
   records which diagonal carries the over-strand: 0 means slots {0, 2},
   1 means slots {1, 3}.
+* Dart ``4 * crossing index + slot`` is one end of an edge: ``dart >> 2``
+  is its crossing, ``dart & 3`` its slot and ``dart ^ 2`` the dart across
+  the crossing on the same strand. ``PlanarDiagram.mates`` maps each dart
+  to the dart at the other end of its edge; every graph walk reads it.
 * Grid rows each hold exactly one horizontal segment, and a horizontal
   segment always passes over any vertical strand it crosses. Over/under
   data of the original diagram is realized by choosing which strand
@@ -30,6 +34,7 @@ import bisect
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
 
@@ -114,13 +119,22 @@ class PlanarDiagram:
             seen.update(x.slots)
         return sorted(seen)
 
-    def incidences(self) -> Dict[int, List[Tuple[int, int]]]:
-        """Edge id -> list of (crossing index, slot) incidences."""
-        inc: Dict[int, List[Tuple[int, int]]] = {}
-        for ci, x in enumerate(self.crossings):
-            for s, e in enumerate(x.slots):
-                inc.setdefault(e, []).append((ci, s))
-        return inc
+    @cached_property
+    def mates(self) -> Tuple[int, ...]:
+        """Dart -> the dart at the other end of its edge, built once per diagram.
+
+        Raises ValueError for an edge without exactly two ends.
+        """
+        ends: Dict[int, List[int]] = {}
+        for dart, e in enumerate(e for x in self.crossings for e in x.slots):
+            ends.setdefault(e, []).append(dart)
+        mate = [0] * (4 * len(self.crossings))
+        for e, darts in ends.items():
+            if len(darts) != 2:
+                raise ValueError(f"edge {e} has {len(darts)} ends (need 2)")
+            a, b = darts
+            mate[a], mate[b] = b, a
+        return tuple(mate)
 
     @property
     def components(self) -> int:
@@ -204,47 +218,37 @@ def validate_diagram(d: PlanarDiagram) -> List[ValidationIssue]:
         )
 
     # connectivity of the 4-valent graph
-    inc = d.incidences()
-    adj: Dict[int, set] = {i: set() for i in range(n)}
-    for uses in inc.values():
-        (c1, _), (c2, _) = uses
-        if c1 != c2:
-            adj[c1].add(c2)
-            adj[c2].add(c1)
-    seen = {0}
+    mate = d.mates
+    seen = [True] + [False] * (n - 1)
     stack = [0]
     while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n:
+        v = stack.pop()
+        for m in mate[4 * v : 4 * v + 4]:
+            if not seen[m >> 2]:
+                seen[m >> 2] = True
+                stack.append(m >> 2)
+    unreachable = seen.count(False)
+    if unreachable:
         issues.append(
             ValidationIssue(
-                "Disconnected", f"crossing graph has {n - len(seen)} unreachable vertices"
+                "Disconnected", f"crossing graph has {unreachable} unreachable vertices"
             )
         )
     if issues:
         return issues
 
-    # genus-0 check: faces of the rotation system must satisfy F = V + 2
-    def alpha(dart: Tuple[int, int]) -> Tuple[int, int]:
-        a, b = inc[d.crossings[dart[0]].slots[dart[1]]]
-        return b if a == dart else a
-
-    darts = [(ci, s) for ci in range(n) for s in range(4)]
-    unvisited = set(darts)
+    # genus-0 check: faces of the rotation system must satisfy F = V + 2;
+    # a face goes from a dart to its mate, then to that crossing's next slot
+    unvisited = [True] * (4 * n)
     faces = 0
-    while unvisited:
-        start = unvisited.pop()
-        cur = start
-        while True:
-            c2, s2 = alpha(cur)
-            cur = (c2, (s2 + 1) % 4)
-            if cur == start:
-                break
-            unvisited.discard(cur)
-        faces += 1
+    for start in range(4 * n):
+        if unvisited[start]:
+            faces += 1
+            dart = start
+            while unvisited[dart]:
+                unvisited[dart] = False
+                m = mate[dart]
+                dart = (m & ~3) | ((m + 1) & 3)
     if faces != n + 2:
         genus = (n + 2 - faces) // 2
         issues.append(

@@ -7,6 +7,7 @@ bracket = sum over states of A^(a-b) d^(loops-1), d = -A^2 - A^-2.
 
 from ribbonfold.invariants import D_POLY
 from ribbonfold.laurent import LaurentPoly
+from graph_reference import edge_ends
 
 
 def _find(parent, a):
@@ -36,7 +37,7 @@ def reference_bracket(d):
     n = len(d.crossings)
     if n == 0 and d.free_loops == 0:
         raise ValueError("empty diagram has no bracket")
-    incidences = list(d.incidences().values())
+    incidences = list(edge_ends(d).values())
     total = LaurentPoly.zero()
     for state in range(1 << n):
         b = bin(state).count("1")

@@ -9,6 +9,7 @@ problem list as ``leveling.check_leveling``.
 
 from ribbonfold.leveling import classify_portion
 from ribbonfold.model import LeveledDiagram
+from graph_reference import edge_ends
 
 
 def _down_edges(d, inc, placed, ci):
@@ -46,7 +47,7 @@ def _attach(open_seq, slots, downs, a):
 def reference_search(diagram, fixed=None):
     """The first leveling in placement-order-then-arc order, or None."""
     n = len(diagram.crossings)
-    inc = diagram.incidences()
+    inc = edge_ends(diagram)
     placed = [False] * n
     order, arcs, levels, portions = [], [], [()], []
 
@@ -112,7 +113,7 @@ def reference_check_leveling(ld):
         return ["field lengths disagree"]
     if ld.levels[0] != () or ld.levels[-1] != ():
         problems.append("levels must start and end empty")
-    inc = d.incidences()
+    inc = edge_ends(d)
     placed = [False] * n
     for k, ci in enumerate(ld.order):
         downs = _down_edges(d, inc, placed, ci)

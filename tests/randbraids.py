@@ -8,7 +8,7 @@ from ribbonfold.ingest import parse_pd
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
-from braids import STUCK_9, random_braid_family  # noqa: E402, F401
+from braids import STUCK_9, braid_closure, random_braid_family  # noqa: E402, F401
 
 
 def random_closures(seed, count, max_crossings, min_crossings=0):

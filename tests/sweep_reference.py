@@ -8,7 +8,7 @@ and brackets as ``invariants.kauffman_bracket``.
 """
 
 from ribbonfold import invariants
-from ribbonfold.invariants import D_POLY, TooLarge, _dart_mates
+from ribbonfold.invariants import D_POLY, TooLarge
 from ribbonfold.laurent import LaurentPoly
 
 
@@ -47,7 +47,7 @@ def reference_sweep_bracket(d):
     n = len(d.crossings)
     if n == 0 and d.free_loops == 0:
         raise ValueError("empty diagram has no bracket")
-    mate = _dart_mates(d)
+    mate = d.mates
     states = {(): {(0, 0): 1}}
     old = []
     for ci, new in reference_sweep_plan(n, mate):

@@ -38,6 +38,7 @@ from ribbonfold.leveling import (
 from ribbonfold.model import check_bgd
 from ribbonfold.rewrite import is_normal_form, normalize
 
+from graph_reference import edge_ends
 from ladder import ladder
 from randbraids import random_closures
 from randgrids import iter_readable_grids
@@ -222,7 +223,7 @@ def test_leveling_bisection_and_portion_balance(corpus):
         ld = find_leveling(entry.diagram)
         assert check_leveling(ld) == [], entry.name
         adj = {i: set() for i in range(len(ld.diagram.crossings))}
-        for ends in ld.diagram.incidences().values():
+        for ends in edge_ends(ld.diagram).values():
             (a, _), (b, _) = ends
             adj[a].add(b)
             adj[b].add(a)

@@ -515,13 +515,13 @@ def test_bound_searches_once(trefoil_pd, monkeypatch):
 
     searches = _count_calls(monkeypatch, leveling, "_search")
     replays = _count_calls(monkeypatch, leveling, "_replay")
-    incidences = _count_calls(monkeypatch, PlanarDiagram, "incidences")
+    tables = _count_calls(monkeypatch, PlanarDiagram.__dict__["mates"], "func")
     assert run_command(["bound", str(trefoil_pd)]) == 0
-    # validate_diagram, detect_nugatory and the search; the flip is read
-    # off the portion counts and only it is replayed
+    # the flip is read off the portion counts and only it is replayed;
+    # validate_diagram, detect_nugatory and the search share one dart table
     assert len(searches) == 1
     assert len(replays) <= 1
-    assert len(incidences) == 3
+    assert len(tables) == 1
 
 
 def test_verify_fails_when_the_flip_counts_are_misread(tmp_path, monkeypatch, capsys):

@@ -52,6 +52,17 @@ def test_unknot_and_free_loops():
         kauffman_bracket(PlanarDiagram((), 0))
 
 
+@pytest.mark.parametrize("slots,ends", [
+    ((1, 2, 2, 3), 1),
+    ((1, 1, 1, 2, 2, 2, 3, 3), 3),
+    ((1, 1, 1, 1), 4),  # pairing the darts in turn would accept this edge
+])
+def test_bracket_rejects_an_edge_without_two_ends(slots, ends):
+    d = PlanarDiagram(tuple(Crossing(k, slots[4 * k : 4 * k + 4]) for k in range(len(slots) // 4)))
+    with pytest.raises(ValueError, match=rf"^edge 1 has {ends} ends \(need 2\)$"):
+        kauffman_bracket(d)
+
+
 def test_kink_brackets_and_writhes():
     assert kauffman_bracket(KINK_POS) == LaurentPoly({3: -1})
     assert kauffman_bracket(KINK_NEG) == LaurentPoly({-3: -1})
@@ -184,14 +195,14 @@ def test_sweep_matches_the_loop_count_sweep():
 
 def test_sweep_plan_matches_the_rescanning_plan():
     for name, d in _sweep_cases():
-        mate = invariants._dart_mates(d)
+        mate = d.mates
         n = len(d.crossings)
         assert invariants._sweep_plan(n, mate) == reference_sweep_plan(n, mate), name
 
 
 def test_sweep_plan_raises_too_large_like_the_rescanning_plan(monkeypatch):
     d = ladder(20)
-    mate = invariants._dart_mates(d)
+    mate = d.mates
     monkeypatch.setattr(invariants, "DEFAULT_CAP", 3)
     messages = []
     for plan in (invariants._sweep_plan, reference_sweep_plan):

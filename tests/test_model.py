@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,8 +8,9 @@ import pytest
 
 from ribbonfold import model
 from ribbonfold.expand import build_bgd
-from ribbonfold.ingest import bundled_table
-from ribbonfold.leveling import find_leveling, optimize_flips
+from ribbonfold.ingest import bundled_table, detect_nugatory, relabel_along_strands
+from ribbonfold.invariants import orient
+from ribbonfold.leveling import _neighbours, find_leveling, optimize_flips
 from ribbonfold.model import (
     BLOCK_NAMES,
     BinaryGridDiagram,
@@ -26,7 +28,15 @@ from ribbonfold.model import (
 from ribbonfold.rewrite import _events, normalize
 
 from columns_reference import reference_check_bgd, reference_columns
+from graph_reference import (
+    reference_graph_issues,
+    reference_neighbours,
+    reference_nugatory,
+    reference_orient,
+    reference_relabel,
+)
 from grids import build
+from randbraids import braid_closure
 from randgrids import make_random_grid
 from test_leveling import _reference_families
 
@@ -98,6 +108,56 @@ def test_components_and_mirror():
         tuple(Crossing(x.id, x.slots, 1) for x in TREFOIL.crossings)
     )
     assert validate_diagram(m) == []
+
+
+def _graph_cases():
+    """The corpus; each corpus diagram with crossing 0's slots in every other
+    order; 400 seeded braid closures kept as drawn, free loops dropped."""
+    corpus = [e.diagram for e in bundled_table()]
+    cases = list(corpus)
+    for d in corpus:
+        x = d.crossings[0]
+        for perm in itertools.permutations(x.slots):
+            if perm != x.slots:
+                cases.append(PlanarDiagram((Crossing(x.id, perm, x.over_pair),) + d.crossings[1:]))
+    rng = random.Random(5)
+    for _ in range(400):
+        strands = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 16))]
+        cases.append(PlanarDiagram(braid_closure(strands, word).crossings))
+    return cases
+
+
+def test_graph_walks_match_the_edge_ends_reference():
+    # the gate, the nugatory search, orient, relabel and the leveling's
+    # neighbours read d.mates; the references rebuild the edge ends
+    tally = Counter()
+    for d in _graph_cases():
+        issues = validate_diagram(d)
+        assert issues == reference_graph_issues(d), d
+        bad = detect_nugatory(d)
+        assert bad == reference_nugatory(d), d
+        o = orient(d)
+        heads, comp_of, components = reference_orient(d)
+        assert list(o.heads.items()) == list(heads.items()), d  # walk order too
+        assert (o.comp_of, o.n_components) == (comp_of, components), d
+        assert relabel_along_strands(d) == reference_relabel(d), d
+        assert _neighbours(d) == reference_neighbours(d), d
+        tally.update([i.code for i in issues] + ["nugatory"] * bool(bad) + ["all"])
+    assert tally == {"all": 1312, "NonPlanarRotation": 760, "Disconnected": 21,
+                     "nugatory": 126}
+
+
+def test_mates_pair_the_darts_of_each_edge():
+    for e in bundled_table():
+        d = e.diagram
+        mate = d.mates
+        assert d.mates is mate  # built once per diagram
+        assert len(mate) == 4 * len(d.crossings)
+        for dart, m in enumerate(mate):
+            assert m != dart and mate[m] == dart
+            assert d.crossings[m >> 2].slots[m & 3] == d.crossings[dart >> 2].slots[dart & 3]
 
 
 def test_portion_names():
