@@ -7,10 +7,10 @@ bracket (the Jones polynomial in the variable A). Every pipeline stage is
 checked against these values, so nothing here may depend on the pipeline
 modules.
 
-Each sweep state keeps weights {(A-exponent, seen a loop): count}. A
-state's first closed loop sets the flag, each later one multiplies its
-weights by d = -A^2 - A^-2 as it closes, and the free loops multiply by
-their power of d once, at the end.
+Each sweep state keeps weights {A-exponent: coefficient}. Every loop
+but the sweep's last multiplies its state's weights by d = -A^2 - A^-2
+as it closes, and the free loops multiply by their power of d once, at
+the end.
 
 Conventions (all verified against hand-computed state sums):
 
@@ -95,12 +95,13 @@ def orient(d: PlanarDiagram) -> DiagramOrientation:
 def crossing_signs(d: PlanarDiagram, o: Optional[DiagramOrientation] = None) -> Tuple[int, ...]:
     if o is None:
         o = orient(d)
-    signs: List[int] = []
-    for ci, x in enumerate(d.crossings):
-        u = next(s for s in x.under_slots() if o.heads[x.slots[s]] == (ci, s))
-        ov = next(s for s in x.over_slots() if o.heads[x.slots[s]] == (ci, s))
-        signs.append(+1 if ov == (u + 3) % 4 else -1)
-    return tuple(signs)
+    entry = [[0, 0] for _ in d.crossings]  # crossing -> slot each strand pair flows in at
+    for ci, s in o.heads.values():
+        entry[ci][s & 1] = s
+    return tuple(
+        +1 if e[x.over_pair] == (e[1 - x.over_pair] + 3) % 4 else -1
+        for e, x in zip(entry, d.crossings)
+    )
 
 
 def writhe(d: PlanarDiagram) -> int:
@@ -162,13 +163,14 @@ def kauffman_bracket(d: PlanarDiagram) -> LaurentPoly:
     """Frontier sweep over the crossings. Raises TooLarge above the cap.
 
     A state is a pairing of the open darts (the processed crossings' ends
-    whose edges lead to unprocessed ones), mapped to its weights
-    {(A-exponent, seen a loop): count}. Each crossing is smoothed both
-    ways, its darts are glued to the pairing, and states with equal
-    pairings merge. The first loop a state closes only sets its seen
-    flag; every later one multiplies its weights by d at once, so a
-    pairing holds O(c) keys. The free loops contribute d^free_loops at
-    the end, one fewer for a state that closed no loop (no crossings).
+    whose edges lead to unprocessed ones), keyed by each open dart's
+    partner position in the sorted frontier and mapped to its weights
+    {A-exponent: coefficient}. Each crossing is smoothed both ways, its
+    darts are glued to the pairing, and states with equal pairings merge;
+    every loop multiplies its state's weights by d as it closes. The
+    sweep's last glue always closes a loop, which goes uncounted, so the
+    free loops contribute d^free_loops at the end, d^(free_loops - 1)
+    with no crossings.
     """
     n = len(d.crossings)
     if n == 0 and d.free_loops == 0:
@@ -176,51 +178,54 @@ def kauffman_bracket(d: PlanarDiagram) -> LaurentPoly:
     mate = d.mates
     # a crossing's two arcs close at most two loops, so d^0..d^2 suffice
     powers = [_d_power(k) for k in range(3)]
-    states: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {(): {(0, 0): 1}}
-    old: List[int] = []
+    states: Dict[Tuple[int, ...], Dict[int, int]] = {(): {0: 1}}
+    pos: Dict[int, int] = {}  # open dart -> its position; the crossing's darts follow
     for ci, new in _sweep_plan(n, mate):
-        base = 4 * ci
-        over = d.crossings[ci].over_slots()
-        # (A-exponent change, arcs): A joins over slot o to o+3, B to o+1
-        smoothings = [
-            (da, [(base + o, base + (o + step) % 4) for o in over])
-            for da, step in ((1, 3), (-1, 1))
-        ]
+        base, m = 4 * ci, len(pos)
+        pos.update(zip(range(base, base + 4), range(m, m + 4)))
+        uncounted = 0 if new else 1
+        # (A-exponent change, partner of each of the crossing's darts):
+        # A joins over slot o to o+3, B to o+1
+        smoothings = []
+        for da, step in ((1, 3), (-1, 1)):
+            tail = [0] * 4
+            for o in d.crossings[ci].over_slots():
+                t = (o + step) % 4
+                tail[o], tail[t] = m + t, m + o
+            smoothings.append((da, tail))
         glues = [
-            (dart, mate[dart])
+            (pos[dart], pos[mate[dart]])
             for dart in range(base, base + 4)
             if dart not in new and (mate[dart] >> 2 != ci or mate[dart] < dart)
         ]
-        nxt: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {}
+        keep = [pos[f] for f in new]
+        renum = [0] * (m + 4)
+        for i, k in enumerate(keep):
+            renum[k] = i
+        pos = {f: i for i, f in enumerate(new)}
+        nxt: Dict[Tuple[int, ...], Dict[int, int]] = {}
         for key, weights in states.items():
-            pairing = dict(zip(old, key))
-            for da, arcs in smoothings:
-                p = dict(pairing)
-                for a, b in arcs:
-                    p[a], p[b] = b, a
+            for da, tail in smoothings:
+                p = [*key, *tail]  # glued positions are never read again
                 closed = 0
                 for x, y in glues:
-                    if p[x] == y:
+                    px = p[x]
+                    if px == y:
                         closed += 1
-                        del p[x], p[y]
                     else:
-                        px, py = p.pop(x), p.pop(y)
+                        py = p[y]
                         p[px], p[py] = py, px
-                out = nxt.setdefault(tuple(p[f] for f in new), {})
-                if not closed:
-                    for (a, seen), count in weights.items():
-                        k = (a + da, seen)
-                        out[k] = out.get(k, 0) + count
-                    continue
-                for (a, seen), count in weights.items():
-                    for shift, coeff in powers[closed - 1 + seen]:
-                        k = (a + da + shift, 1)
-                        out[k] = out.get(k, 0) + coeff * count
-        states, old = nxt, new
+                out = nxt.setdefault(tuple([renum[p[k]] for k in keep]), {})
+                for shift, coeff in powers[closed - uncounted]:
+                    shift += da
+                    for a, count in weights.items():
+                        a += shift
+                        out[a] = out.get(a, 0) + coeff * count
+        states = nxt
 
     total: Dict[int, int] = {}
-    for (a, seen), count in states[()].items():
-        for shift, coeff in _d_power(d.free_loops - 1 + seen):
+    for shift, coeff in _d_power(d.free_loops - (n == 0)):
+        for a, count in states[()].items():
             total[a + shift] = total.get(a + shift, 0) + coeff * count
     return LaurentPoly(total)
 
@@ -248,18 +253,16 @@ def jones_fingerprint(d: PlanarDiagram) -> Tuple[str, ...]:
     if not d.crossings:
         return (str(bracket),)
     o = orient(d)
-    signs = crossing_signs(d, o)
-    strand_comps = [
-        (o.comp_of[x.slots[0]], o.comp_of[x.slots[1]]) for x in d.crossings
+    pair_sums: Dict[Tuple[int, int], int] = {}  # component pair -> its crossings' sign sum
+    for s, x in zip(crossing_signs(d, o), d.crossings):
+        pair = (o.comp_of[x.slots[0]], o.comp_of[x.slots[1]])
+        pair_sums[pair] = pair_sums.get(pair, 0) + s
+    writhes = [
+        sum(-s if ((r >> ca) ^ (r >> cb)) & 1 else s for (ca, cb), s in pair_sums.items())
+        for r in range(1 << o.n_components)
     ]
-    vals = []
-    for r in range(1 << o.n_components):
-        w = 0
-        for s, (ca, cb) in zip(signs, strand_comps):
-            flipped = ((r >> ca) ^ (r >> cb)) & 1
-            w += -s if flipped else s
-        vals.append(str(_normalize(bracket, w)))
-    return tuple(sorted(vals))
+    value = {w: str(_normalize(bracket, w)) for w in set(writhes)}
+    return tuple(sorted(value[w] for w in writhes))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,21 @@
-"""Frontier sweep with weights keyed by (A-exponent, closed loops): the sweep ``kauffman_bracket`` is checked against.
+"""Reference sweep and fingerprint that ``invariants`` is checked against.
 
-Each pairing holds weights {(A-exponent, closed loops): count}, so it
+``reference_sweep_bracket`` keys each pairing by its open darts' partner
+darts and keeps weights {(A-exponent, closed loops): count}, so a pairing
 carries O(c^2) keys, and the loop counts are expanded into powers of
 d = -A^2 - A^-2 only at the end. The plan re-sums every crossing's closed
 darts at each step. Same crossing order, frontiers, ``TooLarge`` message
-and brackets as ``invariants.kauffman_bracket``.
+and brackets as ``invariants.kauffman_bracket``, which keys pairings by
+frontier positions and multiplies by d as each loop closes.
+
+``reference_fingerprint`` finds each crossing's entry slots by scanning
+its slots against the orientation's heads and normalizes the bracket once
+per orientation choice; ``invariants.jones_fingerprint`` reads the signs
+off one table and normalizes once per distinct writhe.
 """
 
 from ribbonfold import invariants
-from ribbonfold.invariants import D_POLY, TooLarge
+from ribbonfold.invariants import D_POLY, TooLarge, _normalize, orient
 from ribbonfold.laurent import LaurentPoly
 
 
@@ -91,3 +98,36 @@ def reference_sweep_bracket(d):
     for k, coeffs in by_loops.items():
         total = total + LaurentPoly(coeffs) * D_POLY ** k
     return total
+
+
+def reference_crossing_signs(d, o):
+    signs = []
+    for ci, x in enumerate(d.crossings):
+        u = next(s for s in x.under_slots() if o.heads[x.slots[s]] == (ci, s))
+        ov = next(s for s in x.over_slots() if o.heads[x.slots[s]] == (ci, s))
+        signs.append(+1 if ov == (u + 3) % 4 else -1)
+    return tuple(signs)
+
+
+def reference_fingerprint(d):
+    """Sorted normalized brackets over all 2^m component orientations.
+
+    The bracket comes from ``invariants.kauffman_bracket``, which the
+    sweep tests hold to ``reference_sweep_bracket``.
+    """
+    bracket = invariants.kauffman_bracket(d)
+    if not d.crossings:
+        return (str(bracket),)
+    o = orient(d)
+    signs = reference_crossing_signs(d, o)
+    strand_comps = [
+        (o.comp_of[x.slots[0]], o.comp_of[x.slots[1]]) for x in d.crossings
+    ]
+    vals = []
+    for r in range(1 << o.n_components):
+        w = 0
+        for s, (ca, cb) in zip(signs, strand_comps):
+            flipped = ((r >> ca) ^ (r >> cb)) & 1
+            w += -s if flipped else s
+        vals.append(str(_normalize(bracket, w)))
+    return tuple(sorted(vals))

@@ -15,7 +15,7 @@ from ribbonfold.invariants import (
     orient,
     writhe,
 )
-from ribbonfold.ingest import bundled_table
+from ribbonfold.ingest import bundled_table, parse_pd
 from ribbonfold.laurent import LaurentPoly
 from ribbonfold.leveling import find_leveling, optimize_flips
 from ribbonfold.model import Crossing, PlanarDiagram, RoutingError, validate_diagram
@@ -23,10 +23,15 @@ from ribbonfold.rewrite import normalize
 from bracket_reference import reference_bracket
 from grids import build
 from ladder import ladder
-from randbraids import random_closures
+from randbraids import random_braid_family, random_closures
 from randgrids import iter_readable_grids, make_random_grid
 from readback_reference import reference_bgd_to_pd
-from sweep_reference import reference_sweep_bracket, reference_sweep_plan
+from sweep_reference import (
+    reference_crossing_signs,
+    reference_fingerprint,
+    reference_sweep_bracket,
+    reference_sweep_plan,
+)
 
 TREFOIL = PlanarDiagram(
     (
@@ -175,29 +180,54 @@ def test_normalize_is_the_writhe_monomial_times_the_bracket():
         assert invariants._normalize(bracket, w) == expected
 
 
+def _wide_closures():
+    """Seeded 8- and 10-strand closures, c = 40-80, 2-4 components, whose
+    sweep frontiers reach 8, 14, 8 and 10 open edges."""
+    family = random_braid_family(7, [(8, 40), (8, 60), (10, 60), (10, 80)])
+    return [(f"s{s}_c{c} wide", parse_pd(text)) for s, c, _word, text in family]
+
+
 def _sweep_cases():
-    """(name, diagram): the corpus, seeded closures up to c = 40 and the
-    ladder up to c = 80."""
+    """(name, diagram): the corpus, seeded closures up to c = 40, the
+    ladder up to c = 80 and the wide closures."""
     cases = [(e.name, e.diagram) for e in bundled_table()]
     cases += random_closures(seed=40, count=24, max_crossings=40, min_crossings=13)
     cases += [(f"ladder c={c}", ladder(c)) for c in (8, 20, 40, 80)]
-    return cases
+    return cases + _wide_closures()
 
 
 def test_sweep_matches_the_loop_count_sweep():
-    # seen-a-loop weights with d applied at once give the brackets that
-    # weights keyed by the closed-loop count did
+    # position-keyed pairings that multiply by d as each loop closes give
+    # the brackets that dart-keyed pairings with closed-loop counts did
     cases = _sweep_cases() + [("trefoil + loop", PlanarDiagram(TREFOIL.crossings, 1)),
                               ("two loops", PlanarDiagram((), 2))]
     bad = [name for name, d in cases if kauffman_bracket(d) != reference_sweep_bracket(d)]
     assert bad == []
 
 
+def test_fingerprint_matches_the_per_orientation_reference():
+    # signs from one entry table and one normalization per distinct writhe
+    # give the sorted values of one normalization per orientation choice
+    cases = [(e.name, e.diagram) for e in bundled_table()]
+    cases += [(f"ladder c={c}", ladder(c)) for c in range(6, 25, 2)]
+    cases += _wide_closures()
+    cases += [("hopf", HOPF), ("kink+", KINK_POS), ("two loops", PlanarDiagram((), 2))]
+    assert {orient(d).n_components for _, d in cases if d.crossings} == {1, 2, 3, 4}
+    for name, d in cases:
+        if d.crossings:
+            assert crossing_signs(d) == reference_crossing_signs(d, orient(d)), name
+        assert jones_fingerprint(d) == reference_fingerprint(d), name
+
+
 def test_sweep_plan_matches_the_rescanning_plan():
+    widest = 0
     for name, d in _sweep_cases():
         mate = d.mates
         n = len(d.crossings)
-        assert invariants._sweep_plan(n, mate) == reference_sweep_plan(n, mate), name
+        plan = invariants._sweep_plan(n, mate)
+        assert plan == reference_sweep_plan(n, mate), name
+        widest = max(widest, *(len(f) for _, f in plan))
+    assert widest == 14  # a wide closure renumbers frontier positions past 8
 
 
 def test_sweep_plan_raises_too_large_like_the_rescanning_plan(monkeypatch):
