@@ -8,9 +8,9 @@ checked against these values, so nothing here may depend on the pipeline
 modules.
 
 Each sweep state keeps weights {A-exponent: coefficient}. Every loop
-but the sweep's last multiplies its state's weights by d = -A^2 - A^-2
-as it closes, and the free loops multiply by their power of d once, at
-the end.
+but one that the last crossing closes multiplies its state's weights by
+d = -A^2 - A^-2 as it closes, and the free loops multiply by their power
+of d once, at the end.
 
 Conventions (all verified against hand-computed state sums):
 
@@ -167,10 +167,11 @@ def kauffman_bracket(d: PlanarDiagram) -> LaurentPoly:
     partner position in the sorted frontier and mapped to its weights
     {A-exponent: coefficient}. Each crossing is smoothed both ways, its
     darts are glued to the pairing, and states with equal pairings merge;
-    every loop multiplies its state's weights by d as it closes. The
-    sweep's last glue always closes a loop, which goes uncounted, so the
-    free loops contribute d^free_loops at the end, d^(free_loops - 1)
-    with no crossings.
+    every loop multiplies its state's weights by d as it closes. The last
+    crossing always closes a loop, which goes uncounted, so the free
+    loops contribute d^free_loops at the end, d^(free_loops - 1) with no
+    crossings. The frontier also empties after each separate group of
+    crossings but the last; the loops closed there are counted.
     """
     n = len(d.crossings)
     if n == 0 and d.free_loops == 0:
@@ -180,17 +181,19 @@ def kauffman_bracket(d: PlanarDiagram) -> LaurentPoly:
     powers = [_d_power(k) for k in range(3)]
     states: Dict[Tuple[int, ...], Dict[int, int]] = {(): {0: 1}}
     pos: Dict[int, int] = {}  # open dart -> its position; the crossing's darts follow
-    for ci, new in _sweep_plan(n, mate):
+    for step, (ci, new) in enumerate(_sweep_plan(n, mate)):
         base, m = 4 * ci, len(pos)
         pos.update(zip(range(base, base + 4), range(m, m + 4)))
-        uncounted = 0 if new else 1
+        # the frontier also empties between separate groups of crossings,
+        # but only the last step's loop goes uncounted
+        uncounted = step == n - 1
         # (A-exponent change, partner of each of the crossing's darts):
         # A joins over slot o to o+3, B to o+1
         smoothings = []
-        for da, step in ((1, 3), (-1, 1)):
+        for da, turn in ((1, 3), (-1, 1)):
             tail = [0] * 4
             for o in d.crossings[ci].over_slots():
-                t = (o + step) % 4
+                t = (o + turn) % 4
                 tail[o], tail[t] = m + t, m + o
             smoothings.append((da, tail))
         glues = [
