@@ -30,7 +30,7 @@ from .ingest import (
     load_table,
     parse_pd,
 )
-from .invariants import bgd_to_pd, jones_fingerprint
+from .invariants import bgd_to_pd, diagram_key, jones_fingerprint
 from .leveling import (
     InvalidDiagram,
     NoLevelingFound,
@@ -251,8 +251,16 @@ def _verify_grid_stages(
 def _cmd_verify(ns) -> int:
     fmt = _detect_format(ns.input, ns.format)
     stages: List[Dict[str, object]] = []
-    # one oracle run per distinct diagram: many stages repeat a diagram
-    fingerprint = functools.cache(jones_fingerprint)
+    # one oracle run per distinct diagram: many stages repeat a diagram, and
+    # two of the flips only respell the crossings of one already checked
+    seen: Dict[tuple, Tuple[str, ...]] = {}
+
+    def fingerprint(d: PlanarDiagram) -> Tuple[str, ...]:
+        key = diagram_key(d)
+        if key not in seen:
+            seen[key] = jones_fingerprint(d)
+        return seen[key]
+
     if fmt == "pd":
         d = _load_pd(ns.input, ns.allow_unknot)
         c = d.crossing_number
@@ -270,18 +278,21 @@ def _cmd_verify(ns) -> int:
             return 0
         ld = find_leveling(d)  # the gate, before the oracle sees d
         fp0 = fingerprint(d)
+        leveled = not check_leveling(ld)
         _stage(
             stages,
             "leveling",
-            not check_leveling(ld) and fingerprint(ld.diagram) == fp0,
+            leveled and fingerprint(ld.diagram) == fp0,
             f"order {list(ld.order)}",
         )
         variants = flip_variants(ld)
         best, choice = best_flip(variants)
-        # each flip levels and keeps the link, and the pick that bound reads
-        # off the counts is the built variants' pick
-        flips_ok = choice == flip_choice(ld) and not any(
-            check_leveling(fl) or fingerprint(fl.diagram) != fp0 for _, fl in variants)
+        # each flip levels and keeps the link (the identity flip is ld,
+        # checked above), and the pick that bound reads off the counts is
+        # the built variants' pick
+        flips_ok = choice == flip_choice(ld) and all(
+            (leveled if fl is ld else not check_leveling(fl))
+            and fingerprint(fl.diagram) == fp0 for _, fl in variants)
         _stage(stages, "flips", flips_ok, "4 variants")
         g = build_bgd(best)
         _stage(

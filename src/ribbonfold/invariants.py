@@ -24,6 +24,14 @@ Conventions (all verified against hand-computed state sums):
 * normalized value = (-A^3)^(-writhe) * bracket; for multi-component
   links this depends on relative component orientations, so the stage
   oracle uses the multiset of values over all orientation choices.
+
+``diagram_key`` names a diagram up to where each crossing's slot list
+starts. Starting r places later and swapping the diagonal when r is odd
+is a quarter turn of the crossing, and every convention above survives
+it: the slots keep their counterclockwise order, A still joins over slot
+o to o + 3, the sign rule compares entries relative to each other, and
+the fingerprint takes every orientation. Diagrams with equal keys are
+therefore one diagram, with one bracket and one fingerprint.
 """
 
 from __future__ import annotations
@@ -266,6 +274,23 @@ def jones_fingerprint(d: PlanarDiagram) -> Tuple[str, ...]:
     ]
     value = {w: str(_normalize(bracket, w)) for w in set(writhes)}
     return tuple(sorted(value[w] for w in writhes))
+
+
+def diagram_key(d: PlanarDiagram) -> tuple:
+    """``free_loops``, then one slot list per crossing that all four of
+    its quarter-turn spellings share.
+
+    A crossing's spelling r is its slots started r places later and its
+    over pair toggled for odd r. Two of the four put the over strand on the
+    1-3 diagonal, a half turn apart, and the lesser of their slot lists
+    stands for the crossing; crossing ids are dropped. Equal keys mean one
+    diagram (see the module docstring), so equal fingerprints.
+    """
+    key = [d.free_loops]
+    for x in d.crossings:
+        s = x.slots if x.over_pair else x.slots[1:] + x.slots[:1]
+        key.append(min(s, s[2:] + s[:2]))
+    return tuple(key)
 
 
 # ---------------------------------------------------------------------------

@@ -449,9 +449,11 @@ def test_verify_runs_the_oracle_once_per_distinct_diagram(trefoil_pd, monkeypatc
     for flags in ([], ["--per-step"]):
         runs.clear()
         assert run_command(["verify", str(trefoil_pd), *flags]) == 0
-        # the input and three flips; the expansion, every rewrite step
-        # and the pile's core all read back as one diagram
-        assert len(runs) == len(set(runs)) == 5
+        # the input, whose (T, T) flip is itself turned half around; the
+        # (F, T) flip, whose (T, F) flip starts each crossing two slots
+        # later; the expansion, whose rewrite steps and pile core read
+        # back as one diagram
+        assert len(runs) == len(set(runs)) == 3
 
 
 def test_verify_figure_eight(tmp_path, capsys):
@@ -507,6 +509,49 @@ def test_verify_levels_each_flip_once(trefoil_pd, monkeypatch):
     # identity are replayed from its masks
     assert len(searches) == 1
     assert len(replays) == 3
+
+
+def test_verify_checks_each_leveling_once(trefoil_pd, monkeypatch, capsys):
+    import ribbonfold.cli as cli
+
+    checks = _count_calls(monkeypatch, cli, "check_leveling")
+    assert run_command(["verify", str(trefoil_pd)]) == 0
+    # the identity flip is the leveling itself, checked once for both stages
+    assert len(checks) == 4
+    assert len({id(ld) for ld, in checks}) == 4
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "check_leveling", lambda ld: ["unsound"])
+    assert run_command(["verify", str(trefoil_pd)]) == 3
+    stages = {s["stage"]: s["ok"] for s in _json_out(capsys)["stages"]}
+    assert stages == {"leveling": False, "flips": False, "expansion": True,
+                      "rewrite": True, "layout": True}
+
+
+def test_verify_fails_when_a_flip_keeps_its_over_strand(trefoil_pd, monkeypatch, capsys):
+    import ribbonfold.cli as cli
+    import ribbonfold.leveling as leveling
+
+    # a (T, F) flip that reflects the slots but keeps the over strand draws
+    # the mirror; its key differs from the (F, T) flip's, so the oracle runs
+    flip = leveling._flip_diagram
+    mutated = []
+
+    def keeps_over(d, flip_x, flip_y):
+        out = flip(d, flip_x, flip_y)
+        if (flip_x, flip_y) == (True, False):
+            out = out.mirror()
+            mutated.append(out)
+        return out
+
+    monkeypatch.setattr(leveling, "_flip_diagram", keeps_over)
+    runs = _count_calls(monkeypatch, cli, "jones_fingerprint")
+    assert run_command(["verify", str(trefoil_pd)]) == 3
+    out, err = capsys.readouterr()
+    stages = {s["stage"]: s["ok"] for s in json.loads(out)["stages"]}
+    assert stages["flips"] is False
+    assert "FAIL flips: 4 variants" in err
+    assert len(mutated) == 1
+    assert (mutated[0],) in runs
 
 
 def test_bound_searches_once(trefoil_pd, monkeypatch):

@@ -9,6 +9,7 @@ from ribbonfold.invariants import (
     TooLarge,
     bgd_to_pd,
     crossing_signs,
+    diagram_key,
     jones_fingerprint,
     jones_normalized,
     kauffman_bracket,
@@ -149,6 +150,49 @@ def test_bracket_multiplicative_over_split_diagrams():
     k_pos, k_neg, tref, mirror, hopf = brackets
     expected = [D_POLY * k_pos * k_neg, D_POLY * tref * mirror, D_POLY * D_POLY * tref * hopf]
     assert [kauffman_bracket(d) for _, d in SPLIT] == expected
+
+
+def _quarter_turned(d, rng):
+    """``d`` with each crossing's slots started a random 0-3 places later,
+    its diagonal swapped for an odd number of places."""
+    turns = [rng.randrange(4) for _ in d.crossings]
+    return PlanarDiagram(tuple(
+        Crossing(x.id, x.slots[r:] + x.slots[:r], x.over_pair ^ (r & 1))
+        for r, x in zip(turns, d.crossings)), d.free_loops)
+
+
+def test_quarter_turns_keep_the_key_and_the_oracle():
+    # a quarter turn respells a crossing, so the key, the bracket and the
+    # fingerprint cannot see it
+    cases = [(e.name, e.diagram) for e in bundled_table()]
+    family = random_braid_family(24, [(2, 3), (2, 4), (2, 6), (3, 6), (3, 9), (4, 8),
+                                      (4, 12), (5, 10), (5, 14)])
+    cases += [(f"s{s}_c{c}", parse_pd(text)) for s, c, _word, text in family]
+    cases += [("hopf", HOPF)]
+    assert {d.components for _, d in cases} >= {1, 2, 3}
+    rng = random.Random(24)
+    for name, d in cases:
+        key, bracket, fp = diagram_key(d), kauffman_bracket(d), jones_fingerprint(d)
+        turned = [_quarter_turned(d, rng) for _ in range(3)]
+        assert any(t != d for t in turned), name
+        for t in turned:
+            assert diagram_key(t) == key, name
+            assert kauffman_bracket(t) == bracket, name
+            assert jones_fingerprint(t) == fp, name
+
+
+def test_key_tells_a_mirror_and_a_reflection_apart():
+    def respelled(perm, toggle):
+        return PlanarDiagram(tuple(
+            Crossing(x.id, tuple(x.slots[p] for p in perm), x.over_pair ^ toggle)
+            for x in TREFOIL.crossings))
+
+    key = diagram_key(TREFOIL)
+    assert diagram_key(respelled((2, 3, 0, 1), 0)) == key  # a half turn
+    assert diagram_key(respelled((1, 2, 3, 0), 1)) == key  # a quarter turn
+    assert diagram_key(respelled((0, 1, 2, 3), 1)) != key  # over strand toggled alone
+    assert diagram_key(respelled((0, 3, 2, 1), 0)) != key  # reflected, over strand kept
+    assert jones_fingerprint(TREFOIL.mirror()) != jones_fingerprint(TREFOIL)
 
 
 def test_too_large_cap(monkeypatch):
