@@ -9,9 +9,9 @@ close wing pairs from the inside out. The grid check that every
 plane brackets only the wing it crosses and that k planes hold 2k
 wings, so ``build_pile`` reads the schedule off the grid in one pass,
 with the wings in column order. ``ribbon_length`` prices the
-schedule, ``emit_svg`` draws an exploded schematic, and the fold lines
-it draws are checked for pairwise disjointness in exact arithmetic.
-The check files each crease under the one 2 x 2 cell that holds it and
+schedule, and ``emit_svg`` draws an exploded schematic of the very
+creases one lattice pass checked pairwise disjoint in exact arithmetic.
+That check files each crease under the one 2 x 2 cell that holds it and
 tests only creases that share a cell, so its cost grows linearly.
 
 Every coordinate is a multiple of 1/D, D = lcm(20, 2q) for q the
@@ -312,15 +312,35 @@ def _first_meeting_pair(segs: Sequence[_Seg], pitch: int) -> Optional[Tuple[int,
     q = pitch // 4
     cells: Dict[Tuple[int, int], List[int]] = {}
     for i, ((xa, ya), (xb, yb)) in enumerate(segs):
+        if xa > xb:
+            xa, xb = xb, xa
+        if ya > yb:
+            ya, yb = yb, ya
+        cx0, cx1 = (xa + q) // pitch, (xb + q) // pitch
+        cy0, cy1 = (ya + q) // pitch, (yb + q) // pitch
         # pitch 2 width units: wings sit 2 apart, bodies 4 and caps 2,
         # and each crease box lies in [-1/2, 1] x [-1/2, 1/2] about its
         # wing and line, so after the offset it lies in one cell
-        for cx in range((min(xa, xb) + q) // pitch, (max(xa, xb) + q) // pitch + 1):
-            for cy in range((min(ya, yb) + q) // pitch, (max(ya, yb) + q) // pitch + 1):
+        if cx0 == cx1 and cy0 == cy1:
+            cells.setdefault((cx0, cy0), []).append(i)
+            continue
+        for cx in range(cx0, cx1 + 1):
+            for cy in range(cy0, cy1 + 1):
                 cells.setdefault((cx, cy), []).append(i)
-    pairs = sorted({(i, j) for members in cells.values() if len(members) > 1
-                    for k, i in enumerate(members) for j in members[k + 1:]})
-    return next(((i, j) for i, j in pairs if _segments_meet(segs[i], segs[j])), None)
+    return min(((i, j) for members in cells.values() if len(members) > 1
+                for k, i in enumerate(members) for j in members[k + 1:]
+                if _segments_meet(segs[i], segs[j])), default=None)
+
+
+def _checked_folds(s: FoldSchedule, cfg: LayoutConfig) -> Tuple[_Geometry, List[_Seg]]:
+    """The lattice geometry and its creases, checked pairwise disjoint."""
+    geo = _geometry(s, cfg)
+    segs = _fold_segments(s, geo)
+    hit = _first_meeting_pair(segs, 2 * geo.unit)
+    if hit is not None:
+        raise LayoutOverlap(f"fold lines {hit[0]} and {hit[1]} intersect "
+                            f"at epsilon {cfg.epsilon}")
+    return geo, segs
 
 
 def check_fold_lines(
@@ -334,14 +354,7 @@ def check_fold_lines(
     width and epsilon are positive. Only creases that share a 2 x 2 cell
     are tested, so the cost grows linearly with the pile.
     """
-    cfg = config or LayoutConfig()
-    geo = _geometry(s, cfg)
-    segs = _fold_segments(s, geo)
-    hit = _first_meeting_pair(segs, 2 * geo.unit)
-    if hit is not None:
-        raise LayoutOverlap(
-            f"fold lines {hit[0]} and {hit[1]} intersect at epsilon {cfg.epsilon}"
-        )
+    geo, segs = _checked_folds(s, config or LayoutConfig())
     values = {v for seg in segs for pt in seg for v in pt}
     frac = {v: Fraction(v, geo.unit) for v in values}
     return [tuple((frac[x], frac[y]) for x, y in seg) for seg in segs]
@@ -375,10 +388,10 @@ class _Pixels(dict):
 
 
 def _runs(lo: int, hi: int, cuts: Sequence[int], gap: int) -> List[Tuple[int, int]]:
-    """Split [lo, hi] into visible runs, removing ``gap`` around each cut."""
+    """Split [lo, hi] into visible runs, ``gap`` off each cut; cuts ascend."""
     out: List[Tuple[int, int]] = []
     start = lo
-    for c in sorted(cuts):
+    for c in cuts:
         out.append((start, c - gap))
         start = c + gap
     out.append((start, hi))
@@ -390,23 +403,19 @@ def emit_svg(s: FoldSchedule, config: Optional[LayoutConfig] = None) -> str:
 
     Wings first, then the body that covers them (the horizontal strand is
     the over strand), fold lines dashed, the core drawn with a gap in the
-    under strand at every crossing. ``check_fold_lines`` runs first and
-    raises every LayoutOverlap; the fold lines drawn are the ones it checked.
+    under strand at every crossing. The check of ``check_fold_lines`` runs
+    first and raises every LayoutOverlap; the creases drawn are its very list.
     """
-    cfg = config or LayoutConfig()
-    check_fold_lines(s, cfg)
-    geo = _geometry(s, cfg)
+    geo, segs = _checked_folds(s, config or LayoutConfig())
     d = geo.unit
     half = d // 2
-    folds = iter(_fold_segments(s, geo))
+    folds = iter(segs)
 
     xs: List[int] = [0]
-    ys: List[int] = [-d]
     for k, p in enumerate(s.planes):
         xs.append(geo.x[p.insertion[0]] - d)
         xs.append(geo.x[p.insertion[1]] + geo.tail[k] + d)
-        ys.append(geo.plane_y[k] + d)
-    ys.extend(y + d for y in geo.cap_y)
+    ys = [-d] + [y + d for y in geo.plane_y + geo.cap_y]
     x0, x1 = min(xs) - MARGIN * d, max(xs) + MARGIN * d
     y0, y1 = min(ys) - MARGIN * d, max(ys) + MARGIN * d
     px = _Pixels(d)

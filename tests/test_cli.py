@@ -359,27 +359,29 @@ def test_layout_byte_determinism(trefoil_pd, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_tracer_sees_the_fold_line_check_inside_emit_svg(
+def test_tracer_sees_emit_svg_under_run_command(
         trefoil_pd, tmp_path, monkeypatch, capsys):
-    # the benchmark's tracer wraps check_fold_lines by its module name and
-    # counts the creases it returns
+    # the benchmark's tracer finds every function it wraps; the fold-line
+    # check runs inside emit_svg, so its time shows in that span
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import tracing
+    import ribbonfold.cli as cli
 
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        assert run_command(["layout", str(trefoil_pd), "-o", str(tmp_path / "t.svg")]) == 0
+        # looked up on the module, so the call goes through the wrapper
+        args = ["layout", str(trefoil_pd), "-o", str(tmp_path / "t.svg")]
+        assert cli.run_command(args) == 0
     finally:
         tracer.uninstall()
-    summary = _json_out(capsys)
+    _json_out(capsys)
     assert not tracer.missing
     spans = tracer.spans
-    [check] = [span for span in spans if span[0] == "layout.check_fold_lines"]
-    _name, _start, _end, parent, _op, error, work = check
-    assert spans[parent][0] == "layout.emit_svg"
+    [svg] = [span for span in spans if span[0] == "layout.emit_svg"]
+    _name, _start, _end, parent, _op, error, _work = svg
+    assert parent >= 0 and spans[parent][0] == "cli.run_command"
     assert error is None
-    assert work == 3 * summary["planes"] + 2 * summary["caps"]
 
 
 def test_layout_epsilon_too_large(trefoil_pd, tmp_path, capsys):
@@ -567,6 +569,21 @@ def test_bound_searches_once(trefoil_pd, monkeypatch):
     assert len(searches) == 1
     assert len(replays) <= 1
     assert len(tables) == 1
+
+
+def test_layout_checks_and_draws_from_one_pass(trefoil_pd, tmp_path, monkeypatch):
+    import ribbonfold.cli as cli
+    import ribbonfold.layout as layout
+
+    passes = {name: _count_calls(monkeypatch, layout, name)
+              for name in ("_geometry", "_fold_segments", "_first_meeting_pair",
+                           "check_fold_lines")}
+    passes["emit_svg"] = _count_calls(monkeypatch, cli, "emit_svg")
+    assert run_command(["layout", str(trefoil_pd), "-o", str(tmp_path / "t.svg")]) == 0
+    # the SVG draws the geometry and creases of the one pass that checked them
+    assert {name: len(calls) for name, calls in passes.items()} == {
+        "_geometry": 1, "_fold_segments": 1, "_first_meeting_pair": 1,
+        "check_fold_lines": 0, "emit_svg": 1}
 
 
 def test_verify_fails_when_the_flip_counts_are_misread(tmp_path, monkeypatch, capsys):

@@ -34,6 +34,7 @@ from foldlines_reference import reference_first_meeting_pair, reference_fold_seg
 from grids import NESTED, build
 from ladder import ladder
 from piles import FAMILIES, piles
+from test_svg_digests import RULES
 
 TREFOIL = "X(4,2,5,1) X(2,6,3,5) X(6,4,1,3)"
 HOPF = "X(4,1,3,2) X(2,3,1,4)"
@@ -211,6 +212,10 @@ MEETING_CASES = [
     ([_seg(0, 0, 3, 0), _seg(2 + H, -H, 2 + H, H), _seg(H, -H, H, H)], (0, 1)),
     # two meeting pairs in cells far apart
     ([_seg(0, 0, 1, 1), _seg(4, 4, 5, 5), _seg(4, 5, 5, 4), _seg(1, 0, 0, 1)], (0, 3)),
+    # collinear (1, 2) shares three cells and is found in each; (1, 3) and
+    # (2, 3) meet too, and the lowest pair wins with no de-duplication
+    ([_seg(20, 20, 21, 21), _seg(0, 0, 5, 0), _seg(1, 0, 6, 0), _seg(5, -1, 5, 1)],
+     (1, 2)),
 ]
 
 DISJOINT_CASES = [
@@ -241,17 +246,20 @@ def _check_pair(monkeypatch, segs, want):
     assert reference_first_meeting_pair(lattice) == want, segs
     assert _first_meeting_pair(segs, 2) == want, segs
     assert _first_meeting_pair(lattice, 2 * UNIT) == want, segs
-    # check_fold_lines reports the pair, or returns the segments in width units
+    # check_fold_lines reports the pair, or returns the segments in width
+    # units, and emit_svg raises the same message or draws
     cfg = LayoutConfig(epsilon=TINY)
     assert layout._geometry(EMPTY, cfg).unit == UNIT
     monkeypatch.setattr(layout, "_fold_segments", lambda s, geo: list(lattice))
     if want is None:
         assert check_fold_lines(EMPTY, cfg) == list(segs)
+        assert emit_svg(EMPTY, cfg).startswith("<svg")
     else:
-        with pytest.raises(LayoutOverlap) as e:
-            check_fold_lines(EMPTY, cfg)
-        assert str(e.value) == (
-            f"fold lines {want[0]} and {want[1]} intersect at epsilon {TINY}")
+        for draw in (check_fold_lines, emit_svg):
+            with pytest.raises(LayoutOverlap) as e:
+                draw(EMPTY, cfg)
+            assert str(e.value) == (
+                f"fold lines {want[0]} and {want[1]} intersect at epsilon {TINY}")
 
 
 def test_first_meeting_pair_on_hand_made_segments(monkeypatch):
@@ -332,28 +340,29 @@ def test_svg_draws_checked_fold_lines():
     assert _fold_lines(emit_svg(EMPTY)) == []
 
 
-def test_emit_svg_raises_every_overlap_inside_the_check(monkeypatch):
-    # the fold-back budget is hit in _geometry, which emit_svg reaches
-    # only through check_fold_lines, so a tracer wrapping it sees the error
-    s = _schedule(TREFOIL)
-    budget = Fraction(1, max(_wing_gaps(s)) + 2)
-    entered, raised = [], []
-    check = layout.check_fold_lines
+def _outcome(draw, s, cfg):
+    try:
+        draw(s, cfg)
+    except LayoutOverlap as e:
+        return str(e)
+    return None
 
-    def wrapped(*args, **kwargs):
-        entered.append(args)
-        try:
-            return check(*args, **kwargs)
-        except LayoutOverlap as e:
-            raised.append(str(e))
-            raise
 
-    monkeypatch.setattr(layout, "check_fold_lines", wrapped)
-    with pytest.raises(LayoutOverlap) as got:
-        emit_svg(s, LayoutConfig(epsilon=budget))
-    assert len(entered) == 1
-    assert raised == [str(got.value)]
-    assert "fold-back crease of plane" in raised[0]
+def test_emit_svg_raises_exactly_when_check_fold_lines_does():
+    # the SVG is drawn from the pass the check makes, so over every pile
+    # and rule of the pinned SVG sweep the two raise the same overlaps,
+    # the fold-back budget's among them
+    kinds = set()
+    for family in FAMILIES:
+        for rule, config in RULES.items():
+            for name, s in piles(family):
+                width, eps = config(s)
+                cfg = LayoutConfig(width=width, epsilon=eps)
+                got = _outcome(emit_svg, s, cfg)
+                assert got == _outcome(check_fold_lines, s, cfg), (family, rule, name)
+                kinds.add(got if got is None else "fold-back crease" in got)
+    # the sweep both draws and hits the budget
+    assert kinds == {None, True}
 
 
 def test_default_epsilon_below_cap():
