@@ -64,25 +64,19 @@ def parse_pd(text: str, allow_unknot: bool = False) -> PlanarDiagram:
     if tail.strip():
         raise PdSyntaxError(f"unrecognized input near {tail.strip()[:40]!r}")
 
-    counts: dict = {}
-    for t in tuples:
-        for e in t:
-            counts[e] = counts.get(e, 0) + 1
-    n = len(tuples)
-    expected = set(range(1, 2 * n + 1))
-    if set(counts) != expected:
-        extra = sorted(set(counts) - expected)
-        missing = sorted(expected - set(counts))
-        raise LabelError(
-            f"labels must be 1..{2 * n}: missing {missing}, unexpected {extra}"
-        )
-    wrong = sorted(e for e, k in counts.items() if k != 2)
-    if wrong:
-        raise LabelError(f"labels not appearing exactly twice: {wrong}")
-
-    return PlanarDiagram(
+    d = PlanarDiagram(
         tuple(Crossing(i, t, over_pair=1) for i, t in enumerate(tuples))
     )
+    ends = d.edge_darts
+    expected = set(range(1, 2 * len(tuples) + 1))
+    if ends.keys() != expected:
+        missing, extra = sorted(expected - ends.keys()), sorted(ends.keys() - expected)
+        raise LabelError(
+            f"labels must be 1..{len(expected)}: missing {missing}, unexpected {extra}")
+    wrong = sorted(e for e, darts in ends.items() if len(darts) != 2)
+    if wrong:
+        raise LabelError(f"labels not appearing exactly twice: {wrong}")
+    return d
 
 
 def emit_pd(d: PlanarDiagram) -> str:
@@ -130,48 +124,8 @@ def detect_nugatory(d: PlanarDiagram) -> List[int]:
     Either condition marks a crossing removable by twisting half the
     diagram, which the leveling stage cannot accept.
     """
-    n = len(d.crossings)
-    mate = d.mates
-    bad = {dart >> 2 for dart, m in enumerate(mate) if m >> 2 == dart >> 2}
-
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        stack = [(root, -1, iter(range(4 * root, 4 * root + 4)))]
-        while stack:
-            v, entry, it = stack[-1]
-            dart = next(it, None)
-            if dart is None:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if u == root:
-                        root_children += 1
-                        if root_children >= 2:
-                            bad.add(root)
-                    elif low[v] >= disc[u]:
-                        bad.add(u)
-                continue
-            m = mate[dart]
-            w = m >> 2
-            # skipping only the entry dart keeps low[] the true low-point
-            # over parallel edges; the cut-vertex test alone would not need it
-            if dart == entry or w == v:
-                continue
-            if disc[w] == -1:
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, m, iter(range(4 * w, 4 * w + 4))))
-            else:
-                low[v] = min(low[v], disc[w])
-    return sorted(d.crossings[i].id for i in bad)
+    loops = {dart >> 2 for dart, m in enumerate(d.mates) if m >> 2 == dart >> 2}
+    return sorted(d.crossings[i].id for i in loops | d.depth_first.cuts)
 
 
 @dataclass(frozen=True)
@@ -193,6 +147,11 @@ def load_table(path) -> List[KnotTableEntry]:
                                "need name,crossings,pd")])
         for lineno, rec in enumerate(reader, start=2):
             try:
+                # DictReader pads a short row with None and keys extra fields by None
+                missing = [k for k in reader.fieldnames if rec[k] is None]
+                if missing or None in rec:
+                    raise RibbonfoldError(f"need the 3 fields name,crossings,pd: missing "
+                                          f"{missing}, unexpected {rec.get(None, [])}")
                 c = int(rec["crossings"])
                 d = parse_pd(rec["pd"])
                 if d.crossing_number != c:

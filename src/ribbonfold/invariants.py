@@ -80,18 +80,15 @@ class DiagramOrientation:
 def orient(d: PlanarDiagram) -> DiagramOrientation:
     """Orient every strand component, starting each at its smallest edge id
     directed into that edge's smallest dart."""
-    mate = d.mates
+    mate, ends = d.mates, d.edge_darts
     edge = [e for x in d.crossings for e in x.slots]  # by dart
-    first: Dict[int, int] = {}
-    for dart, e in enumerate(edge):
-        first.setdefault(e, dart)
     heads: Dict[int, Tuple[int, int]] = {}
     comp_of: Dict[int, int] = {}
     comp = 0
-    for e0 in sorted(first):
+    for e0 in sorted(ends):
         if e0 in comp_of:
             continue
-        e, head = e0, first[e0]
+        e, head = e0, ends[e0][0]
         while e not in comp_of:
             comp_of[e] = comp
             heads[e] = divmod(head, 4)

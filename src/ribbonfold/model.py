@@ -10,6 +10,8 @@ Conventions used throughout:
   is its crossing, ``dart & 3`` its slot and ``dart ^ 2`` the dart across
   the crossing on the same strand. ``PlanarDiagram.mates`` maps each dart
   to the dart at the other end of its edge; every graph walk reads it.
+  It is built from ``PlanarDiagram.edge_darts``, the one grouping of edge
+  ends; ``PlanarDiagram.depth_first`` is the one DFS, read by the gate.
 * Grid rows each hold exactly one horizontal segment, and a horizontal
   segment always passes over any vertical strand it crosses. Over/under
   data of the original diagram is realized by choosing which strand
@@ -35,7 +37,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 
 class RibbonfoldError(Exception):
@@ -96,6 +98,13 @@ class Crossing:
         return (1, 3) if self.over_pair == 0 else (0, 2)
 
 
+class DepthFirst(NamedTuple):
+    """What ``PlanarDiagram.depth_first`` finds."""
+
+    reached: int  # crossings reached from crossing 0
+    cuts: FrozenSet[int]  # indices of crossings whose removal splits their piece
+
+
 @dataclass(frozen=True)
 class PlanarDiagram:
     """A connected link diagram in PD-code semantics.
@@ -114,10 +123,15 @@ class PlanarDiagram:
 
     def edge_ids(self) -> List[int]:
         """Sorted list of distinct edge identifiers."""
-        seen = set()
-        for x in self.crossings:
-            seen.update(x.slots)
-        return sorted(seen)
+        return sorted(self.edge_darts)
+
+    @cached_property
+    def edge_darts(self) -> Dict[int, List[int]]:
+        """Edge id -> its darts in slot order, grouped once per diagram (read only)."""
+        ends: Dict[int, List[int]] = {}
+        for dart, e in enumerate(e for x in self.crossings for e in x.slots):
+            ends.setdefault(e, []).append(dart)
+        return ends
 
     @cached_property
     def mates(self) -> Tuple[int, ...]:
@@ -125,16 +139,64 @@ class PlanarDiagram:
 
         Raises ValueError for an edge without exactly two ends.
         """
-        ends: Dict[int, List[int]] = {}
-        for dart, e in enumerate(e for x in self.crossings for e in x.slots):
-            ends.setdefault(e, []).append(dart)
         mate = [0] * (4 * len(self.crossings))
-        for e, darts in ends.items():
+        for e, darts in self.edge_darts.items():
             if len(darts) != 2:
                 raise ValueError(f"edge {e} has {len(darts)} ends (need 2)")
             a, b = darts
             mate[a], mate[b] = b, a
         return tuple(mate)
+
+    @cached_property
+    def depth_first(self) -> DepthFirst:
+        """The iterative low-point DFS over the crossing graph, roots in index order.
+
+        Loop edges are skipped. The gate reads its reach and cut crossings.
+        """
+        n = len(self.crossings)
+        mate = self.mates
+        cuts = set()
+        disc = [-1] * n
+        low = [0] * n
+        timer = reached = 0
+        for root in range(n):
+            if disc[root] != -1:
+                continue
+            disc[root] = low[root] = timer
+            timer += 1
+            root_children = 0
+            stack = [(root, -1, iter(range(4 * root, 4 * root + 4)))]
+            while stack:
+                v, entry, it = stack[-1]
+                for dart in it:
+                    m = mate[dart]
+                    w = m >> 2
+                    # skipping only the entry dart keeps low[] the true low-point
+                    # over parallel edges; the cut-vertex test alone would not need it
+                    if dart == entry or w == v:
+                        continue
+                    if disc[w] == -1:
+                        disc[w] = low[w] = timer
+                        timer += 1
+                        stack.append((w, m, iter(range(4 * w, 4 * w + 4))))
+                        break
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:  # every dart of v is done: pass its low-point up
+                    stack.pop()
+                    if stack:
+                        u = stack[-1][0]
+                        if low[v] < low[u]:
+                            low[u] = low[v]
+                        if u == root:
+                            root_children += 1
+                            if root_children >= 2:
+                                cuts.add(root)
+                        elif low[v] >= disc[u]:
+                            cuts.add(u)
+            if root == 0:
+                reached = timer
+        return DepthFirst(reached, frozenset(cuts))
 
     @property
     def components(self) -> int:
@@ -193,15 +255,10 @@ def validate_diagram(d: PlanarDiagram) -> List[ValidationIssue]:
     if issues:
         return issues
 
-    counts: Dict[int, int] = {}
-    for x in d.crossings:
-        for e in x.slots:
-            counts[e] = counts.get(e, 0) + 1
-    for e, k in sorted(counts.items()):
-        if k != 2:
-            issues.append(
-                ValidationIssue("DanglingEdge", f"edge {e} appears {k} times (need 2)")
-            )
+    for e, darts in sorted(d.edge_darts.items()):
+        if len(darts) != 2:
+            issues.append(ValidationIssue(
+                "DanglingEdge", f"edge {e} appears {len(darts)} times (need 2)"))
     if issues:
         return issues
 
@@ -210,35 +267,18 @@ def validate_diagram(d: PlanarDiagram) -> List[ValidationIssue]:
         return issues  # bare loops (or the empty diagram): nothing else to check
 
     if d.free_loops:
-        issues.append(
-            ValidationIssue(
-                "Disconnected",
-                f"{d.free_loops} free loop(s) split from {n} crossing(s)",
-            )
-        )
-
-    # connectivity of the 4-valent graph
-    mate = d.mates
-    seen = [True] + [False] * (n - 1)
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for m in mate[4 * v : 4 * v + 4]:
-            if not seen[m >> 2]:
-                seen[m >> 2] = True
-                stack.append(m >> 2)
-    unreachable = seen.count(False)
+        issues.append(ValidationIssue(
+            "Disconnected", f"{d.free_loops} free loop(s) split from {n} crossing(s)"))
+    unreachable = n - d.depth_first.reached
     if unreachable:
-        issues.append(
-            ValidationIssue(
-                "Disconnected", f"crossing graph has {unreachable} unreachable vertices"
-            )
-        )
+        issues.append(ValidationIssue(
+            "Disconnected", f"crossing graph has {unreachable} unreachable vertices"))
     if issues:
         return issues
 
     # genus-0 check: faces of the rotation system must satisfy F = V + 2;
     # a face goes from a dart to its mate, then to that crossing's next slot
+    mate = d.mates
     unvisited = [True] * (4 * n)
     faces = 0
     for start in range(4 * n):
@@ -251,12 +291,9 @@ def validate_diagram(d: PlanarDiagram) -> List[ValidationIssue]:
                 dart = (m & ~3) | ((m + 1) & 3)
     if faces != n + 2:
         genus = (n + 2 - faces) // 2
-        issues.append(
-            ValidationIssue(
-                "NonPlanarRotation",
-                f"rotation system has genus {genus} (faces={faces}, need {n + 2})",
-            )
-        )
+        issues.append(ValidationIssue(
+            "NonPlanarRotation",
+            f"rotation system has genus {genus} (faces={faces}, need {n + 2})"))
     return issues
 
 

@@ -562,13 +562,16 @@ def test_bound_searches_once(trefoil_pd, monkeypatch):
 
     searches = _count_calls(monkeypatch, leveling, "_search")
     replays = _count_calls(monkeypatch, leveling, "_replay")
-    tables = _count_calls(monkeypatch, PlanarDiagram.__dict__["mates"], "func")
+    builds = {name: _count_calls(monkeypatch, PlanarDiagram.__dict__[name], "func")
+              for name in ("edge_darts", "mates", "depth_first")}
     assert run_command(["bound", str(trefoil_pd)]) == 0
     # the flip is read off the portion counts and only it is replayed;
-    # validate_diagram, detect_nugatory and the search share one dart table
+    # parse_pd, validate_diagram, detect_nugatory and the search share one
+    # grouping of edge ends, one dart table and one DFS
     assert len(searches) == 1
     assert len(replays) <= 1
-    assert len(tables) == 1
+    assert {name: len(calls) for name, calls in builds.items()} == {
+        "edge_darts": 1, "mates": 1, "depth_first": 1}
 
 
 def test_layout_checks_and_draws_from_one_pass(trefoil_pd, tmp_path, monkeypatch):
@@ -763,6 +766,20 @@ def test_layout_default_epsilon_below_cap(tmp_path, capsys):
     p.write_text(bgd_to_text(build(NESTED)) + "\n")
     assert run_command(["layout", str(p), "-o", str(tmp_path / "nested.svg")]) == 0
     assert _json_out(capsys)["epsilon"] == 1 / 126
+
+
+@pytest.mark.parametrize("row, err", [
+    ("3_1,3", "missing ['pd'], unexpected []"),
+    (f'3_1,3,"{TREFOIL}",junk', "missing [], unexpected ['junk']"),
+])
+def test_table_row_with_wrong_field_count_exits_one(row, err, tmp_path, capsys):
+    src = tmp_path / "in.csv"
+    src.write_text(f'name,crossings,pd\n{row}\n')
+    out = tmp_path / "o.csv"
+    assert run_command(["table", str(src), "-o", str(out)]) == 1
+    assert capsys.readouterr() == ("", (
+        f"error: bad table: row 2: need the 3 fields name,crossings,pd: {err}\n"))
+    assert not out.exists()
 
 
 def test_table_bad_header(tmp_path, capsys):

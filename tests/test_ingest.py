@@ -194,9 +194,13 @@ def test_load_table_row_errors(tmp_path):
         f'3_1,4,"{TREFOIL_TXT}"\n'
         'bad,1,"X(1,2,3)"\n'
         f'ok,2,"{HOPF_TXT}"\n'
+        '3_1,3\n'
+        f'3_1,3,"{TREFOIL_TXT}",junk\n'
     )
     with pytest.raises(TableError) as ei:
         load_table(p)
     rows = dict(ei.value.rows)
-    assert set(rows) == {2, 3}
+    assert set(rows) == {2, 3, 5, 6}
     assert "CountMismatch" in rows[2]
+    assert rows[5] == "need the 3 fields name,crossings,pd: missing ['pd'], unexpected []"
+    assert rows[6] == "need the 3 fields name,crossings,pd: missing [], unexpected ['junk']"
