@@ -30,7 +30,7 @@ from .ingest import (
     load_table,
     parse_pd,
 )
-from .invariants import bgd_to_pd, diagram_key, jones_fingerprint
+from .invariants import bgd_to_pd, diagram_key, jones_fingerprint, same_map
 from .leveling import (
     InvalidDiagram,
     NoLevelingFound,
@@ -251,14 +251,20 @@ def _verify_grid_stages(
 def _cmd_verify(ns) -> int:
     fmt = _detect_format(ns.input, ns.format)
     stages: List[Dict[str, object]] = []
-    # one oracle run per distinct diagram: many stages repeat a diagram, and
-    # two of the flips only respell the crossings of one already checked
+    # one oracle run per distinct map: many stages repeat a diagram's key,
+    # and the rest read back as a map the oracle has already run on, as
+    # given or turned over; equal maps have equal fingerprints
     seen: Dict[tuple, Tuple[str, ...]] = {}
+    ran: List[Tuple[PlanarDiagram, Tuple[str, ...]]] = []
 
     def fingerprint(d: PlanarDiagram) -> Tuple[str, ...]:
         key = diagram_key(d)
         if key not in seen:
-            seen[key] = jones_fingerprint(d)
+            fp = next((fp for e, fp in ran if same_map(e, d)), None)
+            if fp is None:
+                fp = jones_fingerprint(d)
+                ran.append((d, fp))
+            seen[key] = fp
         return seen[key]
 
     if fmt == "pd":

@@ -32,6 +32,17 @@ it: the slots keep their counterclockwise order, A still joins over slot
 o to o + 3, the sign rule compares entries relative to each other, and
 the fingerprint takes every orientation. Diagrams with equal keys are
 therefore one diagram, with one bracket and one fingerprint.
+
+``same_map`` says whether two diagrams are one planar map with over
+data, up to relabeling crossings and edges, as given or turned over:
+every crossing's rotation reversed and its over strand toggled. Names
+reach neither the state sum nor the fingerprint, which takes every
+orientation. Turning over sends slot s to -s and toggles which slots
+are over, so A's pair (over o, o + 3) becomes (under -o, over -o + 1),
+again over slot o' and o' + 3; every state keeps its smoothings and
+loops, and so the bracket. The reflection and the toggle each flip a
+crossing's sign, so the writhe stays too. Equal maps therefore have
+one fingerprint, as they must: turning over is a half turn in space.
 """
 
 from __future__ import annotations
@@ -249,6 +260,16 @@ def jones_normalized(d: PlanarDiagram) -> LaurentPoly:
     return _normalize(kauffman_bracket(d), writhe(d) if d.crossings else 0)
 
 
+def _sign_sums(d: PlanarDiagram, o: DiagramOrientation) -> Dict[Tuple[int, int], int]:
+    """Component pair (lesser first) -> the sign sum of the crossings
+    between them; (k, k) holds component k's self-crossing writhe."""
+    sums: Dict[Tuple[int, int], int] = {}
+    for s, x in zip(crossing_signs(d, o), d.crossings):
+        ca, cb = sorted((o.comp_of[x.slots[0]], o.comp_of[x.slots[1]]))
+        sums[ca, cb] = sums.get((ca, cb), 0) + s
+    return sums
+
+
 def jones_fingerprint(d: PlanarDiagram) -> Tuple[str, ...]:
     """Sorted multiset of normalized values over all component orientations.
 
@@ -261,12 +282,9 @@ def jones_fingerprint(d: PlanarDiagram) -> Tuple[str, ...]:
     if not d.crossings:
         return (str(bracket),)
     o = orient(d)
-    pair_sums: Dict[Tuple[int, int], int] = {}  # component pair -> its crossings' sign sum
-    for s, x in zip(crossing_signs(d, o), d.crossings):
-        pair = (o.comp_of[x.slots[0]], o.comp_of[x.slots[1]])
-        pair_sums[pair] = pair_sums.get(pair, 0) + s
     writhes = [
-        sum(-s if ((r >> ca) ^ (r >> cb)) & 1 else s for (ca, cb), s in pair_sums.items())
+        sum(-s if ((r >> ca) ^ (r >> cb)) & 1 else s
+            for (ca, cb), s in _sign_sums(d, o).items())
         for r in range(1 << o.n_components)
     ]
     value = {w: str(_normalize(bracket, w)) for w in set(writhes)}
@@ -288,6 +306,68 @@ def diagram_key(d: PlanarDiagram) -> tuple:
         s = x.slots if x.over_pair else x.slots[1:] + x.slots[:1]
         key.append(min(s, s[2:] + s[:2]))
     return tuple(key)
+
+
+def _writhe_profile(d: PlanarDiagram) -> List[Tuple[bool, int]]:
+    """Each component's self-crossing writhe and each component pair's
+    |sign sum|, sorted: reorienting a component, relabeling and turning
+    over all leave it alone."""
+    return sorted((ca == cb, s if ca == cb else abs(s))
+                  for (ca, cb), s in _sign_sums(d, orient(d)).items())
+
+
+def same_map(a: PlanarDiagram, b: PlanarDiagram) -> bool:
+    """Whether ``a`` and ``b`` are one planar map with over data, up to
+    relabeling crossings and edges, either as given or turned over.
+
+    Turned over is the rotation reversed and every crossing toggled. Dart 0
+    of ``a`` is the root; each dart of ``b`` is tried as its image in both
+    modes, and the crossing map grows breadth first along ``mates`` until a
+    rotation offset, an over parity or injectivity conflicts. A map that
+    grows over every crossing is an isomorphism. A split ``a`` never does,
+    so split diagrams compare unequal. The writhe profile, O(c), turns most
+    unequal pairs away before the search, which is O(c) per root tried.
+    """
+    n = len(a.crossings)
+    if n != len(b.crossings) or a.free_loops != b.free_loops:
+        return False
+    if n == 0:
+        return True
+    if _writhe_profile(a) != _writhe_profile(b):
+        return False
+    mate_a, mate_b = a.mates, b.mates
+    over_a = [x.over_pair for x in a.crossings]
+    over_b = [x.over_pair for x in b.crossings]
+
+    def grows(root: int, turn: int, flip: int) -> bool:
+        # slot s of crossing ca is slot (r + turn * s) & 3 of crossing
+        # image[ca] >> 2, r = image[ca] & 3; over slots map to over slots,
+        # or to under slots when turned over (flip = 1)
+        image = [-1] * n
+        used = [False] * n
+        image[0], used[root >> 2] = root, True
+        queue = [0]
+        for ca in queue:
+            cb, r = image[ca] >> 2, image[ca] & 3
+            if (r + over_a[ca] + over_b[cb]) & 1 != flip:
+                return False
+            for s in range(4):
+                m = mate_a[4 * ca + s]
+                t = mate_b[4 * cb + ((r + turn * s) & 3)]
+                # crossing m >> 2 maps so that slot m & 3 lands on slot t & 3
+                want = (t & ~3) | ((t - turn * m) & 3)
+                seen = image[m >> 2]
+                if seen == -1:
+                    if used[t >> 2]:
+                        return False
+                    image[m >> 2], used[t >> 2] = want, True
+                    queue.append(m >> 2)
+                elif seen != want:
+                    return False
+        return len(queue) == n
+
+    return any(grows(root, turn, flip)
+               for turn, flip in ((1, 0), (-1, 1)) for root in range(4 * n))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ Conventions used throughout:
   the crossing on the same strand. ``PlanarDiagram.mates`` maps each dart
   to the dart at the other end of its edge; every graph walk reads it.
   It is built from ``PlanarDiagram.edge_darts``, the one grouping of edge
-  ends; ``PlanarDiagram.depth_first`` is the one DFS, read by the gate.
+  ends; ``PlanarDiagram.depth_first`` is the one DFS and
+  ``PlanarDiagram.faces`` the one face count, both read by the gate.
 * Grid rows each hold exactly one horizontal segment, and a horizontal
   segment always passes over any vertical strand it crosses. Over/under
   data of the original diagram is realized by choosing which strand
@@ -198,6 +199,26 @@ class PlanarDiagram:
                 reached = timer
         return DepthFirst(reached, frozenset(cuts))
 
+    @cached_property
+    def faces(self) -> int:
+        """Face orbits of the rotation system, counted once per diagram.
+
+        A face goes from a dart to its mate, then to that crossing's next
+        slot. ``validate_diagram`` reads it for the genus check.
+        """
+        mate = self.mates
+        unvisited = [True] * len(mate)
+        faces = 0
+        for start in range(len(mate)):
+            if unvisited[start]:
+                faces += 1
+                dart = start
+                while unvisited[dart]:
+                    unvisited[dart] = False
+                    m = mate[dart]
+                    dart = (m & ~3) | ((m + 1) & 3)
+        return faces
+
     @property
     def components(self) -> int:
         """Number of link components (strand classes plus free loops)."""
@@ -276,19 +297,8 @@ def validate_diagram(d: PlanarDiagram) -> List[ValidationIssue]:
     if issues:
         return issues
 
-    # genus-0 check: faces of the rotation system must satisfy F = V + 2;
-    # a face goes from a dart to its mate, then to that crossing's next slot
-    mate = d.mates
-    unvisited = [True] * (4 * n)
-    faces = 0
-    for start in range(4 * n):
-        if unvisited[start]:
-            faces += 1
-            dart = start
-            while unvisited[dart]:
-                unvisited[dart] = False
-                m = mate[dart]
-                dart = (m & ~3) | ((m + 1) & 3)
+    # genus-0 check: faces of the rotation system must satisfy F = V + 2
+    faces = d.faces
     if faces != n + 2:
         genus = (n + 2 - faces) // 2
         issues.append(ValidationIssue(

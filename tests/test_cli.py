@@ -437,25 +437,43 @@ def test_verify_reports_all_stages(trefoil_pd, capsys):
     assert all(s["ok"] for s in report["stages"])
 
 
-def test_verify_runs_the_oracle_once_per_distinct_diagram(trefoil_pd, monkeypatch):
+def test_verify_runs_the_oracle_once_per_distinct_map(trefoil_pd, monkeypatch):
     import ribbonfold.cli as cli
 
-    runs = []
-    oracle = cli.jones_fingerprint
-
-    def counting(d):
-        runs.append(d)
-        return oracle(d)
-
-    monkeypatch.setattr(cli, "jones_fingerprint", counting)
+    runs = _count_calls(monkeypatch, cli, "jones_fingerprint")
     for flags in ([], ["--per-step"]):
         runs.clear()
         assert run_command(["verify", str(trefoil_pd), *flags]) == 0
-        # the input, whose (T, T) flip is itself turned half around; the
-        # (F, T) flip, whose (T, F) flip starts each crossing two slots
-        # later; the expansion, whose rewrite steps and pile core read
-        # back as one diagram
-        assert len(runs) == len(set(runs)) == 3
+        # every flip turns the input over or around, and the expansion,
+        # its rewrite steps and its pile core read back as the input's map
+        assert len(runs) == 1
+
+
+def test_verify_runs_the_oracle_on_a_readback_of_another_map(
+        trefoil_pd, monkeypatch, capsys):
+    import ribbonfold.cli as cli
+    from ribbonfold.model import Crossing, PlanarDiagram
+
+    # the expansion's readback with its first crossing toggled is another
+    # map, so no fingerprint can be reused for it
+    readback = cli.bgd_to_pd
+    toggled = []
+
+    def toggling(g):
+        d = readback(g)
+        x, *rest = d.crossings
+        toggled.append(PlanarDiagram(
+            (Crossing(x.id, x.slots, 1 - x.over_pair), *rest), d.free_loops))
+        return toggled[-1]
+
+    monkeypatch.setattr(cli, "bgd_to_pd", toggling)
+    runs = _count_calls(monkeypatch, cli, "jones_fingerprint")
+    assert run_command(["verify", str(trefoil_pd)]) == 3
+    out, err = capsys.readouterr()
+    stages = {s["stage"]: s["ok"] for s in json.loads(out)["stages"]}
+    assert stages["expansion"] is False
+    assert "FAIL expansion" in err
+    assert (toggled[0],) in runs
 
 
 def test_verify_figure_eight(tmp_path, capsys):
@@ -563,15 +581,15 @@ def test_bound_searches_once(trefoil_pd, monkeypatch):
     searches = _count_calls(monkeypatch, leveling, "_search")
     replays = _count_calls(monkeypatch, leveling, "_replay")
     builds = {name: _count_calls(monkeypatch, PlanarDiagram.__dict__[name], "func")
-              for name in ("edge_darts", "mates", "depth_first")}
+              for name in ("edge_darts", "mates", "depth_first", "faces")}
     assert run_command(["bound", str(trefoil_pd)]) == 0
     # the flip is read off the portion counts and only it is replayed;
     # parse_pd, validate_diagram, detect_nugatory and the search share one
-    # grouping of edge ends, one dart table and one DFS
+    # grouping of edge ends, one dart table, one DFS and one face count
     assert len(searches) == 1
     assert len(replays) <= 1
     assert {name: len(calls) for name, calls in builds.items()} == {
-        "edge_darts": 1, "mates": 1, "depth_first": 1}
+        "edge_darts": 1, "mates": 1, "depth_first": 1, "faces": 1}
 
 
 def test_layout_checks_and_draws_from_one_pass(trefoil_pd, tmp_path, monkeypatch):
@@ -730,6 +748,19 @@ def test_table_parses_each_row_once(tmp_path, monkeypatch, capsys):
     assert run_command(["table", str(_corpus_csv()), "-o", str(out), "--jobs", "1"]) == 0
     assert _json_out(capsys)["entries"] == 38
     assert len(calls) == 38
+
+
+def test_table_counts_each_rows_faces_once(tmp_path, monkeypatch, capsys):
+    from ribbonfold.model import PlanarDiagram
+
+    # load_table and the gate both validate a row; the second reads the
+    # face count the first cached
+    walks = _count_calls(monkeypatch, PlanarDiagram.__dict__["faces"], "func")
+    out = tmp_path / "o.csv"
+    assert run_command(["table", str(_corpus_csv()), "-o", str(out), "--jobs", "1"]) == 0
+    assert _json_out(capsys)["entries"] == 38
+    assert len(walks) == 38
+    assert len({id(d) for d, in walks}) == 38
 
 
 def test_table_cells_match_bound_json(tmp_path, capsys):

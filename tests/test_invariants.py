@@ -14,16 +14,19 @@ from ribbonfold.invariants import (
     jones_normalized,
     kauffman_bracket,
     orient,
+    same_map,
     writhe,
 )
 from ribbonfold.ingest import bundled_table, parse_pd
 from ribbonfold.laurent import LaurentPoly
-from ribbonfold.leveling import find_leveling, optimize_flips
+from ribbonfold.layout import build_pile, core_diagram
+from ribbonfold.leveling import find_leveling, flip_variants, optimize_flips
 from ribbonfold.model import Crossing, PlanarDiagram, RoutingError, validate_diagram
 from ribbonfold.rewrite import normalize
 from bracket_reference import reference_bracket
 from grids import build
 from ladder import ladder
+from map_reference import reference_same_map
 from randbraids import random_braid_family, random_closures
 from randgrids import iter_readable_grids, make_random_grid
 from readback_reference import reference_bgd_to_pd
@@ -193,6 +196,119 @@ def test_key_tells_a_mirror_and_a_reflection_apart():
     assert diagram_key(respelled((0, 1, 2, 3), 1)) != key  # over strand toggled alone
     assert diagram_key(respelled((0, 3, 2, 1), 0)) != key  # reflected, over strand kept
     assert jones_fingerprint(TREFOIL.mirror()) != jones_fingerprint(TREFOIL)
+
+
+def _map_cases():
+    """The corpus and seeded closures, with links among them."""
+    cases = [(e.name, e.diagram) for e in bundled_table()]
+    cases += random_closures(seed=27, count=12, max_crossings=12)
+    assert {d.components for _, d in cases} >= {1, 2, 3}
+    return cases
+
+
+def _relabeled(d, rng):
+    """``d`` with its crossings shuffled and renumbered, its edges renamed
+    and each crossing quarter-turned a random number of times."""
+    names = dict(zip(d.edge_ids(), rng.sample(range(1, 4 * len(d.crossings) + 1),
+                                               len(d.edge_ids()))))
+    out = []
+    for x in rng.sample(d.crossings, len(d.crossings)):
+        r = rng.randrange(4)
+        slots = tuple(names[e] for e in x.slots[r:] + x.slots[:r])
+        out.append(Crossing(len(out) + 7, slots, x.over_pair ^ (r & 1)))
+    return PlanarDiagram(tuple(out), d.free_loops)
+
+
+def _reflected(d, toggle):
+    """``d`` with every crossing's rotation reversed: turned over with
+    ``toggle`` = 1, reflected in the plane with ``toggle`` = 0."""
+    return PlanarDiagram(tuple(
+        Crossing(x.id, (x.slots[0], *x.slots[:0:-1]), x.over_pair ^ toggle)
+        for x in d.crossings), d.free_loops)
+
+
+def _crossing_changed(d, i):
+    return PlanarDiagram(tuple(
+        Crossing(x.id, x.slots, x.over_pair ^ (k == i)) for k, x in enumerate(d.crossings)),
+        d.free_loops)
+
+
+def test_same_map_holds_under_relabeling_and_turning_over():
+    rng = random.Random(27)
+    for name, d in _map_cases():
+        for copy in (_relabeled(d, rng), _quarter_turned(d, rng),
+                     _relabeled(_reflected(d, 1), rng), _reflected(d, 1)):
+            assert same_map(d, copy) and same_map(copy, d), name
+            assert reference_same_map(d, copy), name
+
+
+def test_same_map_holds_through_the_pipeline():
+    # every flip turns the diagram over or around, and the expansion, the
+    # normal form and the pile's core each read back as the flip's map
+    for name, d in _map_cases():
+        for choice, fl in flip_variants(find_leveling(d)):
+            g = build_bgd(fl)
+            gn = normalize(g)
+            for stage, readback in (("flip", fl.diagram), ("expansion", bgd_to_pd(g)),
+                                    ("normal form", bgd_to_pd(gn)),
+                                    ("core", core_diagram(build_pile(gn)))):
+                assert same_map(d, readback), (name, choice, stage)
+
+
+def test_same_map_only_where_the_fingerprint_agrees():
+    # reflections that keep the over strand, mirrors and crossing changes
+    # are mostly other maps; where one is the same map, the oracle agrees
+    rng = random.Random(28)
+    cases = hits = 0
+    for name, d in _map_cases():
+        fp = jones_fingerprint(d)
+        others = [_reflected(d, 0), d.mirror()]
+        others += [_crossing_changed(d, i) for i in range(len(d.crossings))]
+        for other in others:
+            other = _relabeled(other, rng)
+            got = same_map(d, other)
+            assert got == reference_same_map(d, other), name
+            if got:
+                assert jones_fingerprint(other) == fp, name
+            cases += 1
+            hits += got
+    assert not same_map(TREFOIL, TREFOIL.mirror())
+    assert 0 < hits < cases // 10
+
+
+def test_same_map_matches_the_least_code_across_diagrams():
+    # every pair of distinct cases with one crossing count
+    cases = [d for _, d in _map_cases()]
+    for i, a in enumerate(cases):
+        for b in cases[i + 1:]:
+            if len(a.crossings) == len(b.crossings):
+                assert same_map(a, b) == reference_same_map(a, b)
+
+
+def test_same_map_on_free_loops_and_split_diagrams():
+    assert same_map(UNKNOT, PlanarDiagram((), 1))
+    assert not same_map(UNKNOT, PlanarDiagram((), 2))
+    assert not same_map(PlanarDiagram(TREFOIL.crossings, 1), TREFOIL)
+    # a split diagram is not one map, so no fingerprint is reused for it
+    for name, d in SPLIT:
+        assert not same_map(d, d), name
+    # this diagram wraps twice round the Hopf link's map, so a map grown
+    # from it meets every rotation and over bit of one of two Hopf links
+    # side by side, but not injectively
+    cover = PlanarDiagram((Crossing(0, (1, 3, 5, 7)), Crossing(1, (8, 5, 3, 1)),
+                           Crossing(2, (2, 4, 6, 8)), Crossing(3, (7, 6, 4, 2))))
+    assert validate_diagram(cover) == []
+    assert not same_map(cover, _beside(HOPF, HOPF))
+
+
+def test_same_map_turns_away_a_crossing_change_of_a_long_ladder():
+    # the writhe profile rejects it before the root search, which on this
+    # near-symmetric diagram would grow far from many roots
+    d = ladder(2000)
+    other = _relabeled(_crossing_changed(d, 999), random.Random(29))
+    assert invariants._writhe_profile(d) != invariants._writhe_profile(other)
+    assert not same_map(d, other)
+    assert same_map(d, _relabeled(d, random.Random(29)))
 
 
 def test_too_large_cap(monkeypatch):
