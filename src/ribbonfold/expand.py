@@ -21,7 +21,6 @@ from .model import (
     Event,
     InvalidGrid,
     LeveledDiagram,
-    PortionType,
     RibbonfoldError,
     Row,
     Shape,
@@ -32,7 +31,6 @@ __all__ = [
     "ExpansionError",
     "BgdFormatError",
     "EXPANSION_TABLE",
-    "expand_portion",
     "build_bgd",
     "bgd_to_text",
     "parse_bgd",
@@ -59,14 +57,6 @@ EXPANSION_TABLE: Dict[str, Tuple[str, ...]] = {
     "T3-": ("B2", "B3r"),
     "T4+": ("B3", "B3r"),
 }
-
-
-def expand_portion(portion: PortionType) -> Tuple[str, ...]:
-    """Block type names a portion expands to, bottom to top."""
-    try:
-        return EXPANSION_TABLE[portion.name]
-    except KeyError:
-        raise ExpansionError(f"no expansion for portion {portion.name}") from None
 
 
 class _Builder:

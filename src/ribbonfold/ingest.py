@@ -85,32 +85,19 @@ def emit_pd(d: PlanarDiagram) -> str:
     on the 1-3 diagonal that PD text encodes."""
     if d.free_loops and d.crossings:
         raise ValueError("cannot emit a split diagram as PD text")
-    parts = []
-    for x in d.crossings:
-        s = x.slots if x.over_pair == 1 else (x.slots[1], x.slots[2], x.slots[3], x.slots[0])
-        parts.append(f"X({s[0]},{s[1]},{s[2]},{s[3]})")
-    return " ".join(parts)
+    return " ".join("X({},{},{},{})".format(*x.upright_slots) for x in d.crossings)
 
 
 def normalize_over(d: PlanarDiagram) -> PlanarDiagram:
     """Equivalent diagram with every crossing expressed with over_pair 1."""
-    out = []
-    for x in d.crossings:
-        if x.over_pair == 1:
-            out.append(x)
-        else:
-            out.append(
-                Crossing(x.id, (x.slots[1], x.slots[2], x.slots[3], x.slots[0]), 1)
-            )
-    return PlanarDiagram(tuple(out), d.free_loops)
+    return PlanarDiagram(
+        tuple(Crossing(x.id, x.upright_slots, 1) for x in d.crossings), d.free_loops)
 
 
 def relabel_along_strands(d: PlanarDiagram) -> PlanarDiagram:
     """Renumber edges 1..2n consecutively along each strand component."""
-    from .invariants import orient  # deferred: invariants imports model only
-
-    # orient lists the edges in the order its walk meets them
-    new_label = {e: k for k, e in enumerate(orient(d).heads, start=1)}
+    # the orientation lists the edges in the order its walk meets them
+    new_label = {e: k for k, e in enumerate(d.orientation.heads, start=1)}
     crossings = tuple(
         Crossing(x.id, tuple(new_label[e] for e in x.slots), x.over_pair)
         for x in d.crossings

@@ -2,10 +2,11 @@
 
 Computes the Kauffman bracket by a frontier sweep over the crossings
 (cost exponential in the number of open edges, not in the crossing
-count), a deterministic orientation and writhe, and the writhe-normalized
-bracket (the Jones polynomial in the variable A). Every pipeline stage is
-checked against these values, so nothing here may depend on the pipeline
-modules.
+count), the writhe under the diagram's deterministic orientation (read
+from ``PlanarDiagram.orientation``, which walks the strands once per
+diagram), and the writhe-normalized bracket (the Jones polynomial in the
+variable A). Every pipeline stage is checked against these values, so
+nothing here may depend on the pipeline modules.
 
 Each sweep state keeps weights {A-exponent: coefficient}. Every loop
 but one that the last crossing closes multiplies its state's weights by
@@ -48,8 +49,7 @@ one fingerprint, as they must: turning over is a half turn in space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .laurent import LaurentPoly
 from .model import (
@@ -72,47 +72,13 @@ class TooLarge(RibbonfoldError):
 
 
 # ---------------------------------------------------------------------------
-# Orientation and writhe
+# Writhe
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagramOrientation:
-    """Deterministic orientation: per edge, the incidence it flows into.
-
-    ``heads`` lists the edges in the order ``orient`` walks them.
-    """
-
-    heads: Dict[int, Tuple[int, int]]  # edge -> (crossing index, slot)
-    comp_of: Dict[int, int]            # edge -> strand component index
-    n_components: int
-
-
-def orient(d: PlanarDiagram) -> DiagramOrientation:
-    """Orient every strand component, starting each at its smallest edge id
-    directed into that edge's smallest dart."""
-    mate, ends = d.mates, d.edge_darts
-    edge = [e for x in d.crossings for e in x.slots]  # by dart
-    heads: Dict[int, Tuple[int, int]] = {}
-    comp_of: Dict[int, int] = {}
-    comp = 0
-    for e0 in sorted(ends):
-        if e0 in comp_of:
-            continue
-        e, head = e0, ends[e0][0]
-        while e not in comp_of:
-            comp_of[e] = comp
-            heads[e] = divmod(head, 4)
-            e, head = edge[head ^ 2], mate[head ^ 2]
-        comp += 1
-    return DiagramOrientation(heads, comp_of, comp)
-
-
-def crossing_signs(d: PlanarDiagram, o: Optional[DiagramOrientation] = None) -> Tuple[int, ...]:
-    if o is None:
-        o = orient(d)
+def crossing_signs(d: PlanarDiagram) -> Tuple[int, ...]:
     entry = [[0, 0] for _ in d.crossings]  # crossing -> slot each strand pair flows in at
-    for ci, s in o.heads.values():
+    for ci, s in d.orientation.heads.values():
         entry[ci][s & 1] = s
     return tuple(
         +1 if e[x.over_pair] == (e[1 - x.over_pair] + 3) % 4 else -1
@@ -260,12 +226,13 @@ def jones_normalized(d: PlanarDiagram) -> LaurentPoly:
     return _normalize(kauffman_bracket(d), writhe(d) if d.crossings else 0)
 
 
-def _sign_sums(d: PlanarDiagram, o: DiagramOrientation) -> Dict[Tuple[int, int], int]:
+def _sign_sums(d: PlanarDiagram) -> Dict[Tuple[int, int], int]:
     """Component pair (lesser first) -> the sign sum of the crossings
     between them; (k, k) holds component k's self-crossing writhe."""
     sums: Dict[Tuple[int, int], int] = {}
-    for s, x in zip(crossing_signs(d, o), d.crossings):
-        ca, cb = sorted((o.comp_of[x.slots[0]], o.comp_of[x.slots[1]]))
+    comp_of = d.orientation.comp_of
+    for s, x in zip(crossing_signs(d), d.crossings):
+        ca, cb = sorted((comp_of[x.slots[0]], comp_of[x.slots[1]]))
         sums[ca, cb] = sums.get((ca, cb), 0) + s
     return sums
 
@@ -281,11 +248,10 @@ def jones_fingerprint(d: PlanarDiagram) -> Tuple[str, ...]:
     bracket = kauffman_bracket(d)
     if not d.crossings:
         return (str(bracket),)
-    o = orient(d)
     writhes = [
         sum(-s if ((r >> ca) ^ (r >> cb)) & 1 else s
-            for (ca, cb), s in _sign_sums(d, o).items())
-        for r in range(1 << o.n_components)
+            for (ca, cb), s in _sign_sums(d).items())
+        for r in range(1 << d.orientation.n_components)
     ]
     value = {w: str(_normalize(bracket, w)) for w in set(writhes)}
     return tuple(sorted(value[w] for w in writhes))
@@ -303,7 +269,7 @@ def diagram_key(d: PlanarDiagram) -> tuple:
     """
     key = [d.free_loops]
     for x in d.crossings:
-        s = x.slots if x.over_pair else x.slots[1:] + x.slots[:1]
+        s = x.upright_slots
         key.append(min(s, s[2:] + s[:2]))
     return tuple(key)
 
@@ -313,7 +279,7 @@ def _writhe_profile(d: PlanarDiagram) -> List[Tuple[bool, int]]:
     |sign sum|, sorted: reorienting a component, relabeling and turning
     over all leave it alone."""
     return sorted((ca == cb, s if ca == cb else abs(s))
-                  for (ca, cb), s in _sign_sums(d, orient(d)).items())
+                  for (ca, cb), s in _sign_sums(d).items())
 
 
 def same_map(a: PlanarDiagram, b: PlanarDiagram) -> bool:

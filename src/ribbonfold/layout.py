@@ -136,7 +136,7 @@ def build_pile(g: BinaryGridDiagram) -> FoldSchedule:
     slot is used twice, and k planes hold 2k wings).
     """
     if not is_normal_form(g):
-        bad = sorted({r.block_type.name for r in g.rows if _convertible(r)})
+        bad = sorted({r.block for r in g.rows if _convertible(r)})
         what = ", ".join(bad) if bad else "cup rows above cap rows"
         raise NotNormalForm(f"grid is not in normal form ({what}); rewrite first")
 

@@ -12,7 +12,9 @@ Conventions used throughout:
   to the dart at the other end of its edge; every graph walk reads it.
   It is built from ``PlanarDiagram.edge_darts``, the one grouping of edge
   ends; ``PlanarDiagram.depth_first`` is the one DFS and
-  ``PlanarDiagram.faces`` the one face count, both read by the gate.
+  ``PlanarDiagram.faces`` the one face count, both read by the gate, and
+  ``PlanarDiagram.orientation`` the one strand walk, read by the oracle,
+  ``components`` and the strand relabeling.
 * Grid rows each hold exactly one horizontal segment, and a horizontal
   segment always passes over any vertical strand it crosses. Over/under
   data of the original diagram is realized by choosing which strand
@@ -57,23 +59,6 @@ class InvalidGrid(RibbonfoldError):
     """A grid diagram failed ``check_bgd``; the message lists the problems."""
 
 
-class UnionFind:
-    """Disjoint sets over hashable keys, created on first use."""
-
-    def __init__(self) -> None:
-        self.parent: Dict[object, object] = {}
-
-    def find(self, a):
-        p = self.parent
-        while p.setdefault(a, a) != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a, b) -> None:
-        self.parent[self.find(a)] = self.find(b)
-
-
 # ---------------------------------------------------------------------------
 # Planar diagrams
 # ---------------------------------------------------------------------------
@@ -97,6 +82,24 @@ class Crossing:
 
     def under_slots(self) -> Tuple[int, int]:
         return (1, 3) if self.over_pair == 0 else (0, 2)
+
+    @property
+    def upright_slots(self) -> Tuple[int, int, int, int]:
+        """The slots started one place later when over_pair is 0: the same
+        crossing a quarter turn round, with the over strand on 1-3."""
+        return self.slots if self.over_pair else self.slots[1:] + self.slots[:1]
+
+
+@dataclass(frozen=True)
+class DiagramOrientation:
+    """Deterministic orientation: per edge, the incidence it flows into.
+
+    ``heads`` lists the edges in the order the strand walk meets them.
+    """
+
+    heads: Dict[int, Tuple[int, int]]  # edge -> (crossing index, slot)
+    comp_of: Dict[int, int]            # edge -> strand component index
+    n_components: int
 
 
 class DepthFirst(NamedTuple):
@@ -219,14 +222,30 @@ class PlanarDiagram:
                     dart = (m & ~3) | ((m + 1) & 3)
         return faces
 
+    @cached_property
+    def orientation(self) -> DiagramOrientation:
+        """Every strand component oriented once per diagram, each starting at
+        its smallest edge id directed into that edge's smallest dart."""
+        mate, ends = self.mates, self.edge_darts
+        edge = [e for x in self.crossings for e in x.slots]  # by dart
+        heads: Dict[int, Tuple[int, int]] = {}
+        comp_of: Dict[int, int] = {}
+        comp = 0
+        for e0 in sorted(ends):
+            if e0 in comp_of:
+                continue
+            e, head = e0, ends[e0][0]
+            while e not in comp_of:
+                comp_of[e] = comp
+                heads[e] = divmod(head, 4)
+                e, head = edge[head ^ 2], mate[head ^ 2]
+            comp += 1
+        return DiagramOrientation(heads, comp_of, comp)
+
     @property
     def components(self) -> int:
         """Number of link components (strand classes plus free loops)."""
-        uf = UnionFind()
-        for x in self.crossings:
-            uf.union(x.slots[0], x.slots[2])
-            uf.union(x.slots[1], x.slots[3])
-        return len({uf.find(e) for e in uf.parent}) + self.free_loops
+        return self.orientation.n_components + self.free_loops
 
     def mirror(self) -> "PlanarDiagram":
         """Swap every crossing's over/under data (mirror image diagram)."""
@@ -370,25 +389,16 @@ class Shape(enum.Enum):
     TRANS = "TRANS"  # one strand in from below, one out upward
     MAX = "MAX"      # terminates 2 strands (cap)
 
+    # members are singletons compared by identity, so they hash by it too,
+    # not through the pure-Python Enum.__hash__
+    __hash__ = object.__hash__
+
 
 class EndKind(enum.Enum):
     UP = "up"        # end starts a new upward vertical strand
     DOWN = "down"    # end terminates a strand arriving from below
 
-
-@dataclass(frozen=True)
-class BlockType:
-    """One of the six row types: shape crossed/uncrossed."""
-
-    shape: Shape
-    crossed: bool
-
-    @property
-    def name(self) -> str:
-        return BLOCK_NAMES[self.shape, self.crossed]
-
-    def __str__(self) -> str:
-        return self.name
+    __hash__ = object.__hash__  # as Shape
 
 
 @dataclass(frozen=True)
@@ -407,8 +417,9 @@ class Row:
     crossed_column: Optional[int]
 
     @property
-    def block_type(self) -> BlockType:
-        return BlockType(self.shape, self.crossed_column is not None)
+    def block(self) -> str:
+        """The row's block name in ``BLOCK_NAMES``."""
+        return BLOCK_NAMES[self.shape, self.crossed_column is not None]
 
 
 # the legal (left, right) end kinds of each shape
@@ -458,7 +469,7 @@ class BinaryGridDiagram:
     def block_multiset(self) -> Dict[str, int]:
         out = {"B1": 0, "B2": 0, "B3": 0, "B1r": 0, "B2r": 0, "B3r": 0}
         for r in self.rows:
-            out[BLOCK_NAMES[r.shape, r.crossed_column is not None]] += 1
+            out[r.block] += 1
         return out
 
 

@@ -148,7 +148,7 @@ def convert_block(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
     r = g.rows[i]
     if not _convertible(r):
         raise NotConvertible(
-            f"row {i} is {r.block_type.name}; only B2, B2r and B3 convert")
+            f"row {i} is {r.block}; only B2, B2r and B3 convert")
     return grid_from_events(_events(g, (i,)))
 
 
@@ -164,7 +164,7 @@ def switch_adjacent(g: BinaryGridDiagram, i: int) -> BinaryGridDiagram:
         raise IndexError(f"no adjacent pair at row {i}")
     low, high = g.rows[i], g.rows[i + 1]
     if low.shape is not Shape.MAX or low.crossed_column is not None:
-        raise NotSwitchable(f"lower row is {low.block_type.name}, not a plain cap")
+        raise NotSwitchable(f"lower row is {low.block}, not a plain cap")
     if high.shape is Shape.MAX:
         if high.crossed_column is None:
             return g
@@ -209,7 +209,7 @@ def normalize(
     added = 0  # the rows that the converts so far added
     for i, r in enumerate(g.rows):
         if _convertible(r):
-            trace.append((f"convert {r.block_type.name} at row {i + added}",
+            trace.append((f"convert {r.block} at row {i + added}",
                           grid_from_events(_events(g, range(i + 1)))))
             added += 1 if r.shape is Shape.TRANS else 2
     j = 0

@@ -45,7 +45,7 @@ def reference_convert(g, i):
     The fresh columns avoid every column of ``g``.
     """
     r = g.rows[i]
-    assert _convertible(r), r.block_type.name
+    assert _convertible(r), r.block
     rows = list(g.rows)
     used = column_values(rows)
     if r.shape is Shape.TRANS:

@@ -3,8 +3,9 @@
 ``edge_ends`` rebuilds the projection graph straight from the crossings'
 slots, so nothing here reads the dart table under test. The walks are the
 connectivity and genus checks of ``validate_diagram``, the nugatory
-adjacency of ``detect_nugatory``, ``orient``, ``relabel_along_strands`` and
-``leveling._neighbours``, each as it was written before the table.
+adjacency of ``detect_nugatory``, ``PlanarDiagram.orientation``,
+``relabel_along_strands`` and ``leveling._neighbours``, each as it was
+written before the table.
 """
 
 from ribbonfold.model import Crossing, PlanarDiagram, ValidationIssue

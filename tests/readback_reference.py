@@ -6,7 +6,24 @@ with rows times width. Same crossings, edge numbering, free loops and
 ``RoutingError`` messages as ``invariants.bgd_to_pd``.
 """
 
-from ribbonfold.model import Crossing, EndKind, PlanarDiagram, RoutingError, UnionFind, validate_diagram
+from ribbonfold.model import Crossing, EndKind, PlanarDiagram, RoutingError, validate_diagram
+
+
+class UnionFind:
+    """Disjoint sets over hashable keys, created on first use."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, a):
+        p = self.parent
+        while p.setdefault(a, a) != a:
+            p[a] = p[p[a]]
+            a = p[a]
+        return a
+
+    def union(self, a, b):
+        self.parent[self.find(a)] = self.find(b)
 
 
 def _levels(g):

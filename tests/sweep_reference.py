@@ -15,7 +15,7 @@ off one table and normalizes once per distinct writhe.
 """
 
 from ribbonfold import invariants
-from ribbonfold.invariants import D_POLY, TooLarge, _normalize, orient
+from ribbonfold.invariants import D_POLY, TooLarge, _normalize
 from ribbonfold.laurent import LaurentPoly
 
 
@@ -118,7 +118,7 @@ def reference_fingerprint(d):
     bracket = invariants.kauffman_bracket(d)
     if not d.crossings:
         return (str(bracket),)
-    o = orient(d)
+    o = d.orientation
     signs = reference_crossing_signs(d, o)
     strand_comps = [
         (o.comp_of[x.slots[0]], o.comp_of[x.slots[1]]) for x in d.crossings

@@ -449,6 +449,18 @@ def test_verify_runs_the_oracle_once_per_distinct_map(trefoil_pd, monkeypatch):
         assert len(runs) == 1
 
 
+def test_verify_walks_the_strands_once_per_diagram(trefoil_pd, monkeypatch):
+    from ribbonfold.model import PlanarDiagram
+
+    walks = _count_calls(monkeypatch, PlanarDiagram.__dict__["orientation"], "func")
+    assert run_command(["verify", str(trefoil_pd)]) == 0
+    # the input, read by the oracle and by each memo comparison, a flip
+    # turned over and the expansion readback, which miss the memo's key
+    # and are compared with the input: each walked once
+    assert len(walks) == 3
+    assert len({id(d) for (d,) in walks}) == 3
+
+
 def test_verify_runs_the_oracle_on_a_readback_of_another_map(
         trefoil_pd, monkeypatch, capsys):
     import ribbonfold.cli as cli
@@ -581,15 +593,16 @@ def test_bound_searches_once(trefoil_pd, monkeypatch):
     searches = _count_calls(monkeypatch, leveling, "_search")
     replays = _count_calls(monkeypatch, leveling, "_replay")
     builds = {name: _count_calls(monkeypatch, PlanarDiagram.__dict__[name], "func")
-              for name in ("edge_darts", "mates", "depth_first", "faces")}
+              for name in ("edge_darts", "mates", "depth_first", "faces", "orientation")}
     assert run_command(["bound", str(trefoil_pd)]) == 0
     # the flip is read off the portion counts and only it is replayed;
     # parse_pd, validate_diagram, detect_nugatory and the search share one
-    # grouping of edge ends, one dart table, one DFS and one face count
+    # grouping of edge ends, one dart table, one DFS and one face count,
+    # and only the oracle walks the strands
     assert len(searches) == 1
     assert len(replays) <= 1
     assert {name: len(calls) for name, calls in builds.items()} == {
-        "edge_darts": 1, "mates": 1, "depth_first": 1, "faces": 1}
+        "edge_darts": 1, "mates": 1, "depth_first": 1, "faces": 1, "orientation": 0}
 
 
 def test_layout_checks_and_draws_from_one_pass(trefoil_pd, tmp_path, monkeypatch):

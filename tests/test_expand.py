@@ -9,7 +9,6 @@ from ribbonfold.expand import (
     BgdFormatError,
     bgd_to_text,
     build_bgd,
-    expand_portion,
     parse_bgd,
 )
 from ribbonfold.ingest import bundled_table, parse_pd
@@ -34,12 +33,12 @@ def _grid(txt):
 
 
 def test_expansion_table_lookup():
-    assert expand_portion(PortionType(1, +1)) == ("B1",)
-    assert expand_portion(PortionType(1, -1)) == ("B1r", "B2")
-    assert expand_portion(PortionType(4, +1)) == ("B3", "B3r")
+    assert EXPANSION_TABLE[PortionType(1, +1).name] == ("B1",)
+    assert EXPANSION_TABLE[PortionType(1, -1).name] == ("B1r", "B2")
+    assert EXPANSION_TABLE[PortionType(4, +1).name] == ("B3", "B3r")
     for name, blocks in EXPANSION_TABLE.items():
         idx, sign = int(name[1]), (1 if name[2] == "+" else -1)
-        assert expand_portion(PortionType(idx, sign)) == blocks
+        assert EXPANSION_TABLE[PortionType(idx, sign).name] == blocks
 
 
 def test_hopf_grid():

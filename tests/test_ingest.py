@@ -13,7 +13,7 @@ from ribbonfold.ingest import (
     parse_pd,
     relabel_along_strands,
 )
-from ribbonfold.invariants import jones_normalized, orient
+from ribbonfold.invariants import jones_normalized
 from ribbonfold.model import Crossing, PlanarDiagram, validate_diagram
 from graph_reference import edge_ends
 
@@ -104,7 +104,7 @@ def test_relabel_along_strands():
     assert jones_normalized(r) == jones_normalized(d)
     assert sorted(r.edge_ids()) == list(range(1, 15))
     # labels run consecutively along the strand
-    o = orient(r)
+    o = r.orientation
     for e in r.edge_ids():
         ci, s = o.heads[e]
         nxt = r.crossings[ci].slots[(s + 2) % 4]

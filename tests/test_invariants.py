@@ -13,7 +13,6 @@ from ribbonfold.invariants import (
     jones_fingerprint,
     jones_normalized,
     kauffman_bracket,
-    orient,
     same_map,
     writhe,
 )
@@ -136,10 +135,10 @@ def test_fingerprint_of_knot_is_constant_pair():
 
 
 def test_orientation_is_deterministic_and_total():
-    o = orient(TREFOIL)
+    o = TREFOIL.orientation
     assert o.n_components == 1
     assert set(o.heads) == set(TREFOIL.edge_ids())
-    assert orient(HOPF).n_components == 2
+    assert HOPF.orientation.n_components == 2
 
 
 def test_bracket_multiplicative_over_split_loop():
@@ -398,10 +397,10 @@ def test_fingerprint_matches_the_per_orientation_reference():
     cases += [(f"ladder c={c}", ladder(c)) for c in range(6, 25, 2)]
     cases += _wide_closures() + SPLIT
     cases += [("hopf", HOPF), ("kink+", KINK_POS), ("two loops", PlanarDiagram((), 2))]
-    assert {orient(d).n_components for _, d in cases if d.crossings} == {1, 2, 3, 4}
+    assert {d.orientation.n_components for _, d in cases if d.crossings} == {1, 2, 3, 4}
     for name, d in cases:
         if d.crossings:
-            assert crossing_signs(d) == reference_crossing_signs(d, orient(d)), name
+            assert crossing_signs(d) == reference_crossing_signs(d, d.orientation), name
         assert jones_fingerprint(d) == reference_fingerprint(d), name
 
 

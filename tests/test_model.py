@@ -9,12 +9,10 @@ import pytest
 from ribbonfold import model
 from ribbonfold.expand import build_bgd
 from ribbonfold.ingest import bundled_table, detect_nugatory, relabel_along_strands
-from ribbonfold.invariants import orient
 from ribbonfold.leveling import _neighbours, find_leveling, optimize_flips
 from ribbonfold.model import (
     BLOCK_NAMES,
     BinaryGridDiagram,
-    BlockType,
     Crossing,
     EndKind,
     InvalidGrid,
@@ -157,7 +155,7 @@ def _graph_cases():
 
 
 def test_graph_walks_match_the_edge_ends_reference():
-    # the gate, the nugatory search, orient, relabel and the leveling's
+    # the gate, the nugatory search, the orientation, relabel and the leveling's
     # neighbours read d.mates; the references rebuild the edge ends
     tally = Counter()
     for d in _graph_cases():
@@ -165,10 +163,11 @@ def test_graph_walks_match_the_edge_ends_reference():
         assert issues == reference_graph_issues(d), d
         bad = detect_nugatory(d)
         assert bad == reference_nugatory(d), d
-        o = orient(d)
+        o = d.orientation
         heads, comp_of, components = reference_orient(d)
         assert list(o.heads.items()) == list(heads.items()), d  # walk order too
         assert (o.comp_of, o.n_components) == (comp_of, components), d
+        assert d.components == components + d.free_loops, d
         assert relabel_along_strands(d) == reference_relabel(d), d
         assert _neighbours(d) == reference_neighbours(d), d
         tally.update([i.code for i in issues] + ["nugatory"] * bool(bad) + ["all"])
@@ -194,15 +193,15 @@ def test_portion_names():
 
 def test_block_type_bijection():
     names = {
-        BlockType(s, c).name for s in Shape for c in (False, True)
+        BLOCK_NAMES[s, c] for s in Shape for c in (False, True)
     }
     assert names == {"B1", "B2", "B3", "B1r", "B2r", "B3r"}
-    assert BlockType(Shape.MIN, True).name == "B1"
-    assert BlockType(Shape.TRANS, False).name == "B2r"
+    assert BLOCK_NAMES[Shape.MIN, True] == "B1"
+    assert BLOCK_NAMES[Shape.TRANS, False] == "B2r"
     # the one name table, and block_multiset read through it, row by row
     assert len(BLOCK_NAMES) == 6 and set(BLOCK_NAMES.values()) == names
     for g in _corpus_grids():
-        recount = Counter(r.block_type.name for r in g.rows)
+        recount = Counter(r.block for r in g.rows)
         assert g.block_multiset() == {k: recount[k] for k in g.block_multiset()}
 
 

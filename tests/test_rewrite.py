@@ -43,7 +43,7 @@ CLASP = build([("MIN", 1, 3), ("MIN", 2, 4, 3), ("MAX", 1, 3, 2), ("MAX", 2, 4)]
 def test_convert_sideways():
     g = convert_block(KINK, 1)
     assert check_bgd(g) == []
-    assert [r.block_type.name for r in g.rows] == ["B1r", "B1", "B3r", "B3r"]
+    assert [r.block for r in g.rows] == ["B1r", "B1", "B3r", "B3r"]
     assert _fp(g) == _fp(KINK)
     assert is_normal_form(g)
 
@@ -52,14 +52,14 @@ def test_convert_plain_sideways():
     base = build([("MIN", 1, 4), ("TRANS", 1, 2), ("MAX", 2, 4)])
     g = convert_block(base, 1)
     assert check_bgd(g) == []
-    assert [r.block_type.name for r in g.rows] == ["B1r", "B1r", "B3r", "B3r"]
+    assert [r.block for r in g.rows] == ["B1r", "B1r", "B3r", "B3r"]
     assert _fp(g) == _fp(base)
 
 
 def test_convert_crossed_cap():
     g = convert_block(CLASP, 2)
     assert check_bgd(g) == []
-    assert [r.block_type.name for r in g.rows] == [
+    assert [r.block for r in g.rows] == [
         "B1r", "B1", "B1", "B3r", "B3r", "B3r"]
     assert _fp(g) == _fp(CLASP)
     assert is_normal_form(g)
