@@ -3,9 +3,9 @@
 Computes the Kauffman bracket by a frontier sweep over the crossings
 (cost exponential in the number of open edges, not in the crossing
 count), the writhe under the diagram's deterministic orientation (read
-from ``PlanarDiagram.orientation``, which walks the strands once per
-diagram), and the writhe-normalized bracket (the Jones polynomial in the
-variable A). Every pipeline stage is checked against these values, so
+from ``PlanarDiagram.sign_table``, which works out the crossing signs
+once per diagram under ``PlanarDiagram.orientation``), and the
+writhe-normalized bracket (the Jones polynomial in the variable A). Every pipeline stage is checked against these values, so
 nothing here may depend on the pipeline modules.
 
 Each sweep state keeps weights {A-exponent: coefficient}. Every loop
@@ -77,13 +77,7 @@ class TooLarge(RibbonfoldError):
 
 
 def crossing_signs(d: PlanarDiagram) -> Tuple[int, ...]:
-    entry = [[0, 0] for _ in d.crossings]  # crossing -> slot each strand pair flows in at
-    for ci, s in d.orientation.heads.values():
-        entry[ci][s & 1] = s
-    return tuple(
-        +1 if e[x.over_pair] == (e[1 - x.over_pair] + 3) % 4 else -1
-        for e, x in zip(entry, d.crossings)
-    )
+    return d.sign_table.signs
 
 
 def writhe(d: PlanarDiagram) -> int:
@@ -226,17 +220,6 @@ def jones_normalized(d: PlanarDiagram) -> LaurentPoly:
     return _normalize(kauffman_bracket(d), writhe(d) if d.crossings else 0)
 
 
-def _sign_sums(d: PlanarDiagram) -> Dict[Tuple[int, int], int]:
-    """Component pair (lesser first) -> the sign sum of the crossings
-    between them; (k, k) holds component k's self-crossing writhe."""
-    sums: Dict[Tuple[int, int], int] = {}
-    comp_of = d.orientation.comp_of
-    for s, x in zip(crossing_signs(d), d.crossings):
-        ca, cb = sorted((comp_of[x.slots[0]], comp_of[x.slots[1]]))
-        sums[ca, cb] = sums.get((ca, cb), 0) + s
-    return sums
-
-
 def jones_fingerprint(d: PlanarDiagram) -> Tuple[str, ...]:
     """Sorted multiset of normalized values over all component orientations.
 
@@ -250,7 +233,7 @@ def jones_fingerprint(d: PlanarDiagram) -> Tuple[str, ...]:
         return (str(bracket),)
     writhes = [
         sum(-s if ((r >> ca) ^ (r >> cb)) & 1 else s
-            for (ca, cb), s in _sign_sums(d).items())
+            for (ca, cb), s in d.sign_table.sums.items())
         for r in range(1 << d.orientation.n_components)
     ]
     value = {w: str(_normalize(bracket, w)) for w in set(writhes)}
@@ -279,7 +262,7 @@ def _writhe_profile(d: PlanarDiagram) -> List[Tuple[bool, int]]:
     |sign sum|, sorted: reorienting a component, relabeling and turning
     over all leave it alone."""
     return sorted((ca == cb, s if ca == cb else abs(s))
-                  for (ca, cb), s in _sign_sums(d).items())
+                  for (ca, cb), s in d.sign_table.sums.items())
 
 
 def same_map(a: PlanarDiagram, b: PlanarDiagram) -> bool:
@@ -346,23 +329,21 @@ def bgd_to_pd(g: BinaryGridDiagram) -> PlanarDiagram:
 
     One crossing per crossed row, slots in counterclockwise order
     (below-vertical, right-horizontal, above-vertical, left-horizontal),
-    which puts the horizontal over-strand on the 1-3 diagonal. The
-    union-find runs over int nodes: slot s of crossing k is node 4k + s,
-    and each open column holds one later node for its current vertical
-    segment, so a strand that passes a row costs nothing. ``g`` is valid
-    by construction, so it is not checked again.
+    which puts the horizontal over-strand on the 1-3 diagonal. Slot s of
+    crossing k is port 4k + s, and each open column holds one later
+    segment for its current vertical run, so a strand that passes a row
+    costs nothing. A segment has a port where it starts and one where it
+    ends, and every port is linked to exactly one other, so each arc is a
+    walk from one crossing slot through segments to the next. Edges are
+    numbered in the order of their lesser slot, and the segments that no
+    arc passes close up into free loops. ``g`` is valid by construction,
+    so it is not checked again.
     """
-    parent = list(range(4 * g.crossing_number))  # crossing slots come first
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        return a
-
-    def union(a: int, b: int) -> None:
-        parent[find(a)] = find(b)
-
-    segment: Dict[int, int] = {}  # open column -> its vertical segment
+    n = 4 * g.crossing_number
+    # port -> the port it is linked to; the segment of ports p, p + 1
+    # (p >= n, even) starts at p and ends at p + 1
+    mate = [0] * n
+    segment: Dict[int, int] = {}  # open column -> the port that ends its segment
     x0 = 0  # slot 0 of the next crossing
     for row in g.rows:
         ends = []
@@ -370,40 +351,48 @@ def bgd_to_pd(g: BinaryGridDiagram) -> PlanarDiagram:
             # a down end closes its column's segment, an up end starts a new one
             if kind is EndKind.DOWN:
                 ends.append(segment.pop(c))
-                continue
-            node = segment.setdefault(c, len(parent))
-            if node == len(parent):
-                parent.append(node)
-            ends.append(node)
+            else:
+                p = len(mate)
+                mate += (0, 0)
+                segment[c] = p + 1
+                ends.append(p)
         left, right = ends
         x = row.crossed_column
         if x is None:
-            union(left, right)
+            mate[left], mate[right] = right, left
             continue
-        union(x0, segment[x])
+        below = segment[x]
+        mate[x0], mate[below] = below, x0
         segment[x] = x0 + 2
-        union(x0 + 3, left)
-        union(x0 + 1, right)
+        mate[x0 + 3], mate[left] = left, x0 + 3
+        mate[x0 + 1], mate[right] = right, x0 + 1
         x0 += 4
 
-    # group crossing slots by class; slot s of crossing j is node 4j + s,
-    # so a class's first node is its least (crossing, slot)
-    classes: Dict[int, List[int]] = {}
-    for node in range(x0):
-        classes.setdefault(find(node), []).append(node)
-    free_loops = len({find(a) for a in range(x0, len(parent))} - classes.keys())
-
-    edge_of: Dict[int, int] = {}
-    for eid, root in enumerate(sorted(classes, key=lambda r: classes[r][0]), start=1):
-        if len(classes[root]) != 2:
-            raise RoutingError(
-                f"arc with {len(classes[root])} crossing ends (need 2)"
-            )
-        edge_of[root] = eid
+    # walk each arc from its lesser slot, setting the port each segment
+    # is left by to -1
+    edge = [0] * n
+    eid = 0
+    for k in range(n):
+        if edge[k]:
+            continue
+        q = mate[k]
+        while q >= n:
+            far = q ^ 1
+            q, mate[far] = mate[far], -1
+        eid += 1
+        edge[k] = edge[q] = eid
+    free_loops = 0
+    for p in range(n, len(mate), 2):
+        if mate[p] >= 0 and mate[p + 1] >= 0:  # a segment on no arc nor counted loop
+            free_loops += 1
+            q = p
+            while mate[q ^ 1] >= 0:
+                far = q ^ 1
+                q, mate[far] = mate[far], -1
 
     crossings = tuple(
-        Crossing(id=j, slots=tuple(edge_of[find(4 * j + s)] for s in range(4)), over_pair=1)
-        for j in range(x0 // 4)
+        Crossing(id=j, slots=tuple(edge[4 * j:4 * j + 4]), over_pair=1)
+        for j in range(n // 4)
     )
     out = PlanarDiagram(crossings, free_loops)
     issues = validate_diagram(out)

@@ -60,6 +60,7 @@ __all__ = [
     "check_fold_lines",
     "emit_svg",
     "core_diagram",
+    "core_specs",
     "schedule_json",
 ]
 
@@ -485,6 +486,19 @@ def emit_svg(s: FoldSchedule, config: Optional[LayoutConfig] = None) -> str:
 # ---------------------------------------------------------------------------
 
 
+def core_specs(s: FoldSchedule) -> List[Tuple[Shape, int, int, Optional[int]]]:
+    """The pile's core as row specs (shape, a, b, crossed), bottom to top:
+    a cup per plane, then a cap per cap arc.
+
+    Every spec is a cup or a cap, which ``make_row`` turns into the row of
+    that shape, extent and crossed column, so a normal-form grid whose rows
+    read as these specs is the core's grid.
+    """
+    specs = [(Shape.MIN, *p.insertion, p.crossed_wing) for p in s.planes]
+    specs += [(Shape.MAX, *c.join, None) for c in s.caps]
+    return specs
+
+
 def core_diagram(s: FoldSchedule) -> PlanarDiagram:
     """Read the crossing structure off the pile's core.
 
@@ -492,9 +506,7 @@ def core_diagram(s: FoldSchedule) -> PlanarDiagram:
     where a body passes its crossed wing. The walk reconstructs a planar
     diagram from the schedule alone, for checking against the input.
     """
-    ends = [(Shape.MIN, *p.insertion, p.crossed_wing) for p in s.planes]
-    ends += [(Shape.MAX, *c.join, None) for c in s.caps]
-    return bgd_to_pd(stack_rows(ends))
+    return bgd_to_pd(stack_rows(core_specs(s)))
 
 
 def schedule_json(

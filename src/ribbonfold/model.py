@@ -12,9 +12,11 @@ Conventions used throughout:
   to the dart at the other end of its edge; every graph walk reads it.
   It is built from ``PlanarDiagram.edge_darts``, the one grouping of edge
   ends; ``PlanarDiagram.depth_first`` is the one DFS and
-  ``PlanarDiagram.faces`` the one face count, both read by the gate, and
+  ``PlanarDiagram.faces`` the one face count, both read by the gate,
   ``PlanarDiagram.orientation`` the one strand walk, read by the oracle,
-  ``components`` and the strand relabeling.
+  ``components`` and the strand relabeling, and ``PlanarDiagram.sign_table``
+  the one pass over the crossing signs under it, read by the writhe, the
+  fingerprint and the map check.
 * Grid rows each hold exactly one horizontal segment, and a horizontal
   segment always passes over any vertical strand it crosses. Over/under
   data of the original diagram is realized by choosing which strand
@@ -100,6 +102,15 @@ class DiagramOrientation:
     heads: Dict[int, Tuple[int, int]]  # edge -> (crossing index, slot)
     comp_of: Dict[int, int]            # edge -> strand component index
     n_components: int
+
+
+class SignTable(NamedTuple):
+    """What ``PlanarDiagram.sign_table`` finds."""
+
+    signs: Tuple[int, ...]  # per crossing, +1 or -1 under ``orientation``
+    # component pair (lesser first) -> the sign sum of the crossings between
+    # them; (k, k) holds component k's self-crossing writhe
+    sums: Dict[Tuple[int, int], int]
 
 
 class DepthFirst(NamedTuple):
@@ -241,6 +252,29 @@ class PlanarDiagram:
                 e, head = edge[head ^ 2], mate[head ^ 2]
             comp += 1
         return DiagramOrientation(heads, comp_of, comp)
+
+    @cached_property
+    def sign_table(self) -> SignTable:
+        """Each crossing's sign under ``orientation``, and the sign sums per
+        component pair, worked out once per diagram.
+
+        A crossing is positive iff its over strand flows in at slot
+        (under entry + 3) mod 4.
+        """
+        o = self.orientation
+        entry = [[0, 0] for _ in self.crossings]  # crossing -> slot each strand pair flows in at
+        for ci, s in o.heads.values():
+            entry[ci][s & 1] = s
+        signs = tuple(
+            +1 if e[x.over_pair] == (e[1 - x.over_pair] + 3) % 4 else -1
+            for e, x in zip(entry, self.crossings)
+        )
+        sums: Dict[Tuple[int, int], int] = {}
+        comp_of = o.comp_of
+        for s, x in zip(signs, self.crossings):
+            ca, cb = sorted((comp_of[x.slots[0]], comp_of[x.slots[1]]))
+            sums[ca, cb] = sums.get((ca, cb), 0) + s
+        return SignTable(signs, sums)
 
     @property
     def components(self) -> int:

@@ -453,12 +453,57 @@ def test_verify_walks_the_strands_once_per_diagram(trefoil_pd, monkeypatch):
     from ribbonfold.model import PlanarDiagram
 
     walks = _count_calls(monkeypatch, PlanarDiagram.__dict__["orientation"], "func")
+    tables = _count_calls(monkeypatch, PlanarDiagram.__dict__["sign_table"], "func")
     assert run_command(["verify", str(trefoil_pd)]) == 0
     # the input, read by the oracle and by each memo comparison, a flip
     # turned over and the expansion readback, which miss the memo's key
-    # and are compared with the input: each walked once
+    # and are compared with the input: each walked once, and each one's
+    # signs worked out once for the fingerprint and the writhe profiles
     assert len(walks) == 3
     assert len({id(d) for (d,) in walks}) == 3
+    assert [id(d) for (d,) in tables] == [id(d) for (d,) in walks]
+
+
+def test_verify_reads_each_grid_back_once(trefoil_pd, monkeypatch):
+    import ribbonfold.cli as cli
+    import ribbonfold.layout as layout
+
+    readbacks = _count_calls(monkeypatch, cli, "bgd_to_pd")
+    readbacks += _count_calls(monkeypatch, layout, "bgd_to_pd")
+    cores = _count_calls(monkeypatch, cli, "core_diagram")
+    assert run_command(["verify", str(trefoil_pd)]) == 0
+    # the expansion and the normal form; the pile's core is the normal
+    # form's rows, so its readback is reused
+    assert len(readbacks) == 2
+    assert cores == []
+
+
+def test_verify_reads_back_a_pile_that_is_not_the_normal_form(
+        trefoil_pd, monkeypatch, capsys):
+    import ribbonfold.cli as cli
+    from ribbonfold.bound import run_pipeline
+    from ribbonfold.ingest import parse_pd
+    from ribbonfold.layout import core_specs
+    from ribbonfold.model import stack_rows
+
+    # the figure-eight's pile is a valid core, but not the trefoil's rows
+    other = cli.build_pile(run_pipeline(parse_pd(FIG8)).normal)
+    piles = []
+
+    def wrong_pile(gn):
+        piles.append(gn)
+        return other
+
+    monkeypatch.setattr(cli, "build_pile", wrong_pile)
+    cores = _count_calls(monkeypatch, cli, "core_diagram")
+    assert run_command(["verify", str(trefoil_pd)]) == 3
+    out, err = capsys.readouterr()
+    stages = {s["stage"]: s["ok"] for s in json.loads(out)["stages"]}
+    assert stages == {"leveling": True, "flips": True, "expansion": True,
+                      "rewrite": True, "layout": False}
+    assert "FAIL layout" in err
+    assert stack_rows(core_specs(other)).rows != piles[0].rows
+    assert cores == [(other,)]
 
 
 def test_verify_runs_the_oracle_on_a_readback_of_another_map(
@@ -593,16 +638,18 @@ def test_bound_searches_once(trefoil_pd, monkeypatch):
     searches = _count_calls(monkeypatch, leveling, "_search")
     replays = _count_calls(monkeypatch, leveling, "_replay")
     builds = {name: _count_calls(monkeypatch, PlanarDiagram.__dict__[name], "func")
-              for name in ("edge_darts", "mates", "depth_first", "faces", "orientation")}
+              for name in ("edge_darts", "mates", "depth_first", "faces", "orientation",
+                           "sign_table")}
     assert run_command(["bound", str(trefoil_pd)]) == 0
     # the flip is read off the portion counts and only it is replayed;
     # parse_pd, validate_diagram, detect_nugatory and the search share one
     # grouping of edge ends, one dart table, one DFS and one face count,
-    # and only the oracle walks the strands
+    # and only the oracle walks the strands or works out signs
     assert len(searches) == 1
     assert len(replays) <= 1
     assert {name: len(calls) for name, calls in builds.items()} == {
-        "edge_darts": 1, "mates": 1, "depth_first": 1, "faces": 1, "orientation": 0}
+        "edge_darts": 1, "mates": 1, "depth_first": 1, "faces": 1, "orientation": 0,
+        "sign_table": 0}
 
 
 def test_layout_checks_and_draws_from_one_pass(trefoil_pd, tmp_path, monkeypatch):

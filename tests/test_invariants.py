@@ -474,8 +474,19 @@ def _readback(read, g):
 
 def _readback_cases():
     """(name, grid): the expanded and normal grids of the corpus, the
-    ladder and random closures, the stress grids and free loops."""
-    diagrams = [(e.name, e.diagram) for e in bundled_table()]
+    ladder and random closures, the rewrite trace grids that
+    ``verify --per-step`` reads back for the ladder at c = 8-20 and for
+    five corpus knots, the stress grids and free loops."""
+    table = bundled_table()
+    traced = [(f"ladder c={c}", ladder(c)) for c in range(8, 21, 2)]
+    traced += [(e.name, e.diagram) for e in table if e.name in
+               ("3_1", "5_2", "6_2", "7_4", "8_19")]
+    for name, d in traced:
+        trace = []
+        normalize(build_bgd(optimize_flips(find_leveling(d))[0]), trace=trace)
+        for i, (_msg, gi) in enumerate(trace):
+            yield f"{name} step {i}", gi
+    diagrams = [(e.name, e.diagram) for e in table]
     diagrams += [(f"ladder c={c}", ladder(c)) for c in range(8, 41, 2)]
     diagrams += random_closures(seed=12, count=20, max_crossings=12)
     diagrams += random_closures(seed=1320, count=12, max_crossings=20,
